@@ -25,12 +25,6 @@
  *    claimed). Chunk boundaries are identical either way, so the
  *    ratio is pure schedule win; it needs parallel hardware to rise
  *    much above 1.0.
- * 4. *Scheduler lanes.* Aggregate request throughput of one
- *    BatchScheduler with laneCount=2 vs laneCount=1 on an identical
- *    closed-loop burst. This row's speedup field is 2-lane over
- *    1-lane throughput; it needs parallel hardware to rise much
- *    above 1.0 (on a single-core host both configurations are
- *    compute-bound on the same core).
  *
  * The executor benches pin the pool at 2 threads so the recorded
  * ratios are comparable across hosts.
@@ -48,10 +42,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/parallel.hh"
-#include "model/config.hh"
-#include "model/scheduler.hh"
-#include "quant/exp_dictionary.hh"
-#include "quant/golden_dictionary.hh"
 
 namespace
 {
@@ -262,45 +252,6 @@ timeImbalancedLanes()
     });
 }
 
-constexpr size_t kClients = 4;      ///< closed-loop client threads
-constexpr size_t kReqsPerClient = 4; ///< requests each client runs
-
-/**
- * Closed-loop serving burst: kClients client threads each running
- * kReqsPerClient requests back-to-back against one scheduler.
- * Returns aggregate requests per second.
- */
-double
-schedulerThroughput(const QuantizedTransformer &pipe, size_t laneCount,
-                    const Transformer &model)
-{
-    const double ns = bench::timeKernelNs(
-        [&] {
-            BatchSchedulerConfig cfg;
-            cfg.maxBatch = 2;
-            cfg.flushTimeout = std::chrono::microseconds(500);
-            cfg.laneCount = laneCount;
-            BatchScheduler sched(
-                pipe, QuantMode::WeightsAndActivations, cfg);
-            std::vector<std::thread> clients;
-            for (size_t c = 0; c < kClients; ++c) {
-                clients.emplace_back([&, c] {
-                    for (size_t r = 0; r < kReqsPerClient; ++r) {
-                        auto f = sched.submit(model.makeInput(
-                            4 + (c + r) % 4, 3000 + c * 10 + r));
-                        f.get();
-                    }
-                });
-            }
-            for (auto &cl : clients)
-                cl.join();
-            sched.drain();
-        },
-        3, 0.5);
-    return static_cast<double>(kClients * kReqsPerClient) /
-        (ns * 1e-9);
-}
-
 } // anonymous namespace
 
 int
@@ -361,29 +312,6 @@ main()
                 imbOff, imbOn, imbOff / imbOn);
     json.add({"lane_steal_speedup", kRows * 8, kInner,
               kLoopsPerLane / 4, imbOn, 0.0, imbOff / imbOn});
-
-    // Scheduler-level: identical closed-loop burst, 2 lanes vs 1.
-    const ModelConfig cfg{"tiny", 2, 32, 2, 128, 256};
-    const Transformer model(cfg, 23);
-    const auto gd = GoldenDictionary::generate({});
-    const Quantizer quantizer(ExpDictionary::fit(gd));
-    QuantizedTransformer pipe(model, quantizer);
-    pipe.quantizeWeights();
-    std::vector<Tensor> profile;
-    for (int i = 0; i < 4; ++i)
-        profile.push_back(model.makeInput(16, 100 + i));
-    pipe.profileActivations(profile);
-
-    const double thr1 = schedulerThroughput(pipe, 1, model);
-    const double thr2 = schedulerThroughput(pipe, 2, model);
-    std::printf("\nscheduler closed-loop burst: %.0f req/s (1 lane) "
-                "-> %.0f req/s (2 lanes), %.2fx\n",
-                thr1, thr2, thr2 / thr1);
-    json.add({"scheduler_2lanes_vs_1lane", kClients * kReqsPerClient,
-              cfg.hidden, 2,
-              1e9 * static_cast<double>(kClients * kReqsPerClient) /
-                  thr2,
-              0.0, thr2 / thr1});
 
     json.write();
     return 0;

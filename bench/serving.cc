@@ -1,13 +1,15 @@
 /**
  * @file
  * Serving front-end load generator: measures what the epoll HTTP
- * layer costs on top of direct BatchScheduler calls, and what the
- * served latency distribution looks like under open-loop load.
+ * layer costs on top of direct ContinuousScheduler calls, and what
+ * the served latency distribution looks like under open-loop load.
  *
- * Three phases, one shared quantized pipeline (reduced BERT-Base):
+ * Five phases, one shared quantized pipeline (reduced BERT-Base).
+ * Phases 1-3 and 5 run the default scheduler configuration, the one
+ * the default InferenceServer serves with:
  *
  *  1. Closed-loop direct baseline — C client threads submit futures
- *     straight into a BatchScheduler and wait; measures the
+ *     straight into a ContinuousScheduler and wait; measures the
  *     scheduler's own sustainable QPS with zero network in the path.
  *  2. Closed-loop HTTP — the same offered pattern through
  *     InferenceServer over loopback keep-alive connections. The
@@ -25,18 +27,19 @@
  *     and is tracked, not gated.
  *  4. Continuous vs run-to-completion on a ragged mix — the same
  *     fixed-seed open-loop trace (1/8 long prefills, 7/8 one-to-two
- *     row decodes) submitted scheduler-level (no HTTP) to a
- *     BatchScheduler and to a ContinuousScheduler. The gated record
- *     ("serving_ragged_decode_p99_batch_vs_continuous") is the
- *     decode-class p99 ratio batch/continuous — the head-of-line
- *     number iteration-level batching exists to improve: under
- *     run-to-completion a decode arriving behind a dispatched
- *     prefill waits a whole multi-layer pass; continuously it waits
- *     at most one layer step.
- *
- * Phases 2 and 3 pin cfg.continuous = false so their records keep
- * measuring the HTTP layer against the same run-to-completion
- * scheduler as when they were first recorded.
+ *     row decodes) submitted scheduler-level (no HTTP) to the
+ *     scheduler in its run-to-completion setting (every request
+ *     decode class, so a selected group runs its whole pass before
+ *     the next arrival joins) and in its two-class setting. The
+ *     gated record ("serving_ragged_decode_p99_batch_vs_continuous")
+ *     is the decode-class p99 ratio batch/continuous — the
+ *     head-of-line number iteration-level batching exists to
+ *     improve: under run-to-completion a decode arriving behind a
+ *     running prefill waits a whole multi-layer pass; continuously
+ *     it waits at most one layer step.
+ *  5. Chaos — deterministic engine faults against the default
+ *     server; every injected fault must map onto exactly the request
+ *     it poisoned.
  *
  * Writes BENCH_serving.json for tools/check_bench_regression.py.
  */
@@ -45,6 +48,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <random>
 #include <thread>
@@ -53,8 +57,8 @@
 #include "bench_util.hh"
 #include "common/fault.hh"
 #include "model/config.hh"
+#include "model/continuous_scheduler.hh"
 #include "model/pipeline.hh"
-#include "model/scheduler.hh"
 #include "net/http_client.hh"
 #include "net/inference_server.hh"
 
@@ -95,13 +99,17 @@ percentileMs(std::vector<double> sorted_ms, double p)
     return sorted_ms[lo] * (1.0 - frac) + sorted_ms[hi] * frac;
 }
 
-BatchSchedulerConfig
-schedulerConfig()
+/** Phase 4's comparand: the scheduler's run-to-completion setting.
+ *  Every request is decode class, so each iteration stacks up to 96
+ *  rows of admitted requests (at most 4) through every layer before
+ *  the next arrival may join. */
+ContinuousSchedulerConfig
+runToCompletionConfig()
 {
-    BatchSchedulerConfig scfg;
+    ContinuousSchedulerConfig scfg;
     scfg.maxBatch = 4;
-    scfg.maxTokens = 96;
-    scfg.flushTimeout = std::chrono::milliseconds(2);
+    scfg.decodeMaxRows = SIZE_MAX;
+    scfg.decodeTokens = 96;
     return scfg;
 }
 
@@ -138,9 +146,8 @@ main()
     // ---- phase 1: closed-loop direct scheduler baseline ----------
     double direct_qps = 0.0;
     {
-        BatchScheduler sched(pipe,
-                             QuantMode::WeightsAndActivations,
-                             schedulerConfig());
+        ContinuousScheduler sched(pipe,
+                                  QuantMode::WeightsAndActivations);
         std::atomic<size_t> next{0};
         const auto t0 = clock_t_::now();
         std::vector<std::thread> clients;
@@ -164,11 +171,7 @@ main()
     double http_qps = 0.0;
     double http_bytes = 0.0;
     {
-        InferenceServerConfig icfg;
-        icfg.continuous = false; // keep the PR 7 comparison basis
-        icfg.scheduler = schedulerConfig();
-        icfg.maxQueueDepth = 64;
-        InferenceServer server(pipe, icfg);
+        InferenceServer server(pipe);
         server.start();
 
         std::atomic<size_t> next{0};
@@ -229,11 +232,7 @@ main()
     double open_qps = 0.0;
     std::vector<double> latency_ms(kOpenLoopRequests, 0.0);
     {
-        InferenceServerConfig icfg;
-        icfg.continuous = false; // keep the PR 7 comparison basis
-        icfg.scheduler = schedulerConfig();
-        icfg.maxQueueDepth = 64;
-        InferenceServer server(pipe, icfg);
+        InferenceServer server(pipe);
         server.start();
 
         std::vector<Tensor> open_inputs;
@@ -288,11 +287,12 @@ main()
                 "p50 %.2f ms, p99 %.2f ms\n",
                 open_qps, p50, p99);
 
-    // ---- phase 4: ragged mix, batch vs continuous scheduler ------
+    // ---- phase 4: ragged mix, run-to-completion vs continuous -----
     // Scheduler-level (no HTTP): the same fixed-seed open-loop trace
-    // against both schedulers; decode-class p99 from the scheduled
-    // arrival is the head-of-line metric iteration-level batching
-    // targets (the overall p99 would just be a long prefill).
+    // against both scheduler settings; decode-class p99 from the
+    // scheduled arrival is the head-of-line metric iteration-level
+    // batching targets (the overall p99 would just be a long
+    // prefill).
     constexpr size_t kRaggedRequests = 64;
     constexpr size_t kPrefillRows = 96;
     std::vector<double> rag_arrival;
@@ -315,7 +315,7 @@ main()
 
     // One paced submitter replays the trace; completions stamp the
     // latency slot for their request. drain() orders the reads.
-    const auto runTrace = [&](ServingScheduler &sched) {
+    const auto runTrace = [&](ContinuousScheduler &sched) {
         std::vector<double> lat(kRaggedRequests, 0.0);
         const auto t0 = clock_t_::now();
         for (size_t i = 0; i < kRaggedRequests; ++i) {
@@ -347,8 +347,9 @@ main()
 
     double batch_decode_p99 = 0.0, batch_prefill_p99 = 0.0;
     {
-        BatchScheduler sched(pipe, QuantMode::WeightsAndActivations,
-                             schedulerConfig());
+        ContinuousScheduler sched(pipe,
+                                  QuantMode::WeightsAndActivations,
+                                  runToCompletionConfig());
         const auto lat = runTrace(sched);
         batch_decode_p99 = classP99(lat, true);
         batch_prefill_p99 = classP99(lat, false);
@@ -367,18 +368,19 @@ main()
     }
     const double decode_ratio = batch_decode_p99 / cont_decode_p99;
     std::printf(
-        "ragged mix decode p99: %6.2f ms batch -> %6.2f ms "
-        "continuous (%.2fx, the gated ratio); prefill p99 "
+        "ragged mix decode p99: %6.2f ms run-to-completion -> "
+        "%6.2f ms continuous (%.2fx, the gated ratio); prefill p99 "
         "%6.2f -> %6.2f ms\n",
         batch_decode_p99, cont_decode_p99, decode_ratio,
         batch_prefill_p99, cont_prefill_p99);
 
     // ---- phase 5: chaos — deterministic fault injection ----------
-    // Engine-dispatch faults at a fixed seed against the batch-mode
-    // server, one request per batch, serial client: a request fails
-    // (500) iff a fault fired during it, so every injected fault
-    // maps onto exactly the request it poisoned — and the server
-    // keeps serving afterwards. Honors an externally-armed
+    // Engine-dispatch faults at a fixed seed against the default
+    // server, serial client: each request steps alone and a
+    // one-member group is never retried, so a request fails (500)
+    // iff a fault fired during it — every injected fault maps onto
+    // exactly the request it poisoned — and the server keeps
+    // serving afterwards. Honors an externally-armed
     // MOKEY_FAULT (then the 1:1 mapping check is skipped, since the
     // armed site may not be the engine).
     {
@@ -387,11 +389,7 @@ main()
         if (armed_here)
             inj.configure("engine:0.05:1337");
 
-        InferenceServerConfig icfg;
-        icfg.continuous = false;
-        icfg.scheduler = schedulerConfig();
-        icfg.scheduler.maxBatch = 1;
-        InferenceServer server(pipe, icfg);
+        InferenceServer server(pipe);
         server.start();
         HttpClient cli("127.0.0.1", server.port());
 

@@ -45,7 +45,6 @@ main()
 
     InferenceServerConfig icfg;
     icfg.socket.drainOnSigterm = true; // kill -TERM drains cleanly
-    icfg.scheduler.maxBatch = 4;
     icfg.maxQueueDepth = 16;
     InferenceServer server(pipe, icfg);
     server.start();

@@ -1,17 +1,13 @@
 /**
  * @file
- * Batched multi-request serving: stand up a quantized pipeline, put
- * a BatchScheduler in front of it, and fire a burst of ragged-length
- * requests from several client threads. The scheduler coalesces them
- * into micro-batches (capacity- or timeout-flushed) that run as one
- * stacked forward pass — and every response is bit-identical to an
- * unbatched forward of that request, which this example verifies.
- *
- * This walkthrough runs the scheduler with TWO concurrent batch
- * lanes: two dispatcher threads, each owning a private executor
- * lane, dispatch independent micro-batches simultaneously over the
- * shared MOKEY_THREADS worker set, and the per-lane dispatch
- * counters are printed at the end.
+ * Continuous-batching serving: stand up a quantized pipeline, put
+ * the ContinuousScheduler in front of it, and fire a burst of
+ * ragged-length requests from several client threads. The scheduler
+ * re-forms its running batch between layer steps: short (decode
+ * class) requests run their whole pass ahead of long (prefill class)
+ * ones, which advance one budgeted layer per iteration — and every
+ * response is bit-identical to an unbatched forward of that request,
+ * which this example verifies.
  */
 
 #include <chrono>
@@ -20,7 +16,7 @@
 #include <vector>
 
 #include "model/config.hh"
-#include "model/scheduler.hh"
+#include "model/continuous_scheduler.hh"
 #include "quant/exp_dictionary.hh"
 #include "quant/golden_dictionary.hh"
 #include "tensor/ops.hh"
@@ -42,24 +38,23 @@ main()
         profile_batch.push_back(model.makeInput(32, 100 + i));
     pipe.profileActivations(profile_batch);
 
-    // Scheduler knobs: up to 4 requests or 96 stacked rows per
-    // micro-batch; a lone request waits at most 2 ms for company;
-    // TWO batch lanes dispatch micro-batches concurrently. Compute
-    // inside each batch fans out over the process-wide executor
-    // (sized by MOKEY_THREADS) on the dispatching lane.
-    BatchSchedulerConfig scfg;
-    scfg.maxBatch = 4;
-    scfg.maxTokens = 96;
-    scfg.flushTimeout = std::chrono::milliseconds(2);
-    scfg.laneCount = 2;
-    BatchScheduler sched(pipe, QuantMode::WeightsAndActivations,
-                         scfg);
+    // Scheduler knobs: requests of up to 8 rows are decode class and
+    // run to completion inside one iteration; longer ones are
+    // prefill, metered at 32 stacked rows per layer step. Compute
+    // inside each step fans out over the process-wide executor
+    // (sized by MOKEY_THREADS) on the scheduler's own lane.
+    ContinuousSchedulerConfig scfg;
+    scfg.maxBatch = 8;
+    scfg.decodeMaxRows = 8;
+    scfg.chunkTokens = 32;
+    ContinuousScheduler sched(pipe, QuantMode::WeightsAndActivations,
+                              scfg);
 
     // A burst of 8 clients with ragged sequence lengths. The
     // reference forwards for verification run after the timed
     // window, so the printed latency/throughput measures only the
     // scheduled traffic.
-    const size_t lens[] = {24, 7, 32, 15, 9, 32, 3, 20};
+    const size_t lens[] = {24, 7, 32, 15, 3, 32, 1, 20};
     std::vector<std::thread> clients;
     std::vector<Tensor> ins;
     std::vector<Tensor> outs(8);
@@ -86,57 +81,40 @@ main()
             std::chrono::steady_clock::now() - burst_t0)
             .count();
 
-    std::vector<double> max_err(8, -1.0);
-    for (int i = 0; i < 8; ++i) {
-        const Tensor ref = pipe.forward(
-            ins[i], QuantMode::WeightsAndActivations);
-        max_err[i] = maxAbsDiff(outs[i], ref);
-    }
-
     bool all_exact = true;
     size_t total_rows = 0;
     for (int i = 0; i < 8; ++i) {
-        std::printf("request %d (%2zu tokens): latency %6.2f ms, "
-                    "|batched - direct| = %g\n",
-                    i, lens[i], latency_ms[i], max_err[i]);
-        all_exact = all_exact && max_err[i] == 0.0;
+        const Tensor ref = pipe.forward(
+            ins[i], QuantMode::WeightsAndActivations);
+        const double err = maxAbsDiff(outs[i], ref);
+        std::printf("request %d (%2zu tokens, %s): latency %6.2f ms, "
+                    "|scheduled - direct| = %g\n",
+                    i, lens[i],
+                    lens[i] <= scfg.decodeMaxRows ? "decode "
+                                                  : "prefill",
+                    latency_ms[i], err);
+        all_exact = all_exact && err == 0.0;
         total_rows += lens[i];
     }
 
     const auto st = sched.stats();
-    std::printf("\n%llu requests -> %llu micro-batches "
-                "(%llu capacity-flushed, %llu timeout-flushed); "
-                "%llu total rows\n",
+    std::printf("\n%llu requests -> %llu iterations, %llu layer "
+                "steps (%llu decode, %llu prefill), %llu stacked "
+                "rows; %llu prefill deferrals\n",
                 static_cast<unsigned long long>(st.requests),
-                static_cast<unsigned long long>(st.batches),
-                static_cast<unsigned long long>(st.capacityFlushes),
-                static_cast<unsigned long long>(st.timeoutFlushes),
-                static_cast<unsigned long long>(st.batchedRows));
-    std::printf("batch sizes:");
-    for (const size_t s : sched.batchSizes())
-        std::printf(" %zu", s);
-
-    // Per-lane accounting: how the two dispatcher lanes split the
-    // burst, and each lane's processing throughput while busy.
-    std::printf("\n\nper-lane dispatch (%zu lanes):\n",
-                sched.laneCount());
-    for (const SchedulerLaneUsage &u : sched.laneUsage()) {
-        const double rows_per_s =
-            u.busySeconds > 0.0
-                ? static_cast<double>(u.rows) / u.busySeconds
-                : 0.0;
-        std::printf("  lane %2zu: %llu batches, %llu rows, "
-                    "busy %.2f ms, %.0f rows/s\n",
-                    u.laneId,
-                    static_cast<unsigned long long>(u.batches),
-                    static_cast<unsigned long long>(u.rows),
-                    u.busySeconds * 1e3, rows_per_s);
-    }
-    std::printf("aggregate: %zu rows in %.2f ms (%.0f rows/s)\n",
+                static_cast<unsigned long long>(st.iterations),
+                static_cast<unsigned long long>(st.steps),
+                static_cast<unsigned long long>(st.decodeSteps),
+                static_cast<unsigned long long>(st.prefillSteps),
+                static_cast<unsigned long long>(st.stepRows),
+                static_cast<unsigned long long>(st.prefillDeferrals));
+    std::printf("aggregate: %zu rows in %.2f ms (%.0f rows/s); "
+                "recent pass %.2f ms\n",
                 total_rows, burst_s * 1e3,
-                static_cast<double>(total_rows) / burst_s);
+                static_cast<double>(total_rows) / burst_s,
+                sched.recentBatchSeconds() * 1e3);
 
-    std::printf("batched == sequential bit-for-bit: %s\n",
+    std::printf("scheduled == sequential bit-for-bit: %s\n",
                 all_exact ? "yes" : "NO (bug!)");
     return all_exact ? 0 : 1;
 }

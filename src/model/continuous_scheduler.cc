@@ -122,17 +122,10 @@ ContinuousScheduler::queueDepth() const
 }
 
 double
-ContinuousScheduler::recentStepSeconds() const
-{
-    std::lock_guard<std::mutex> lk(mu);
-    return recentStep;
-}
-
-double
 ContinuousScheduler::recentBatchSeconds() const
 {
     std::lock_guard<std::mutex> lk(mu);
-    return recentStep * static_cast<double>(nSteps);
+    return recentPass;
 }
 
 ContinuousSchedulerStats
@@ -146,9 +139,9 @@ void
 ContinuousScheduler::finish(Active &a, Tensor &&out,
                             const std::exception_ptr &err)
 {
-    // Mirrors BatchScheduler::complete(): a broken promise or a
-    // throwing callback is the caller's bug and must not take the
-    // step thread (and every other active request) down with it.
+    // A broken promise or a throwing callback is the caller's bug
+    // and must not take the step thread (and every other active
+    // request) down with it.
     try {
         if (a.done) {
             a.done(std::move(out), err);
@@ -184,7 +177,7 @@ std::vector<std::list<ContinuousScheduler::Active>::iterator>
 ContinuousScheduler::pickClass(bool decodeClass, size_t budget,
                                uint64_t &deferred)
 {
-    // Admission (seq) order is list order: joins always push_back.
+    // Admission order is list order: joins always push_back.
     std::vector<std::list<Active>::iterator> sel;
     size_t rowsTaken = 0;
     for (auto it = active.begin(); it != active.end(); ++it) {
@@ -213,12 +206,22 @@ ContinuousScheduler::runGroup(
 {
     const size_t layer = grp.front()->layer;
 
+    // A step must hand back exactly the rows it was given; any other
+    // shape fails like a throw instead of being sliced out of bounds.
+    auto checkedStep = [&](const Tensor &in,
+                           const std::vector<size_t> &starts) {
+        Tensor out = step(layer, in, starts, mode, ln);
+        if (out.rows() != in.rows() || out.cols() != in.cols())
+            throw std::runtime_error(
+                "ContinuousScheduler: step returned the wrong shape");
+        return out;
+    };
+
     // Advance one member by one layer; true on success.
     auto stepOne = [&](std::list<Active>::iterator it,
                        std::exception_ptr &err) {
         try {
-            const std::vector<size_t> starts{0, it->x.rows()};
-            it->x = step(layer, it->x, starts, mode, ln);
+            it->x = checkedStep(it->x, {0, it->x.rows()});
             return true;
         } catch (...) {
             err = std::current_exception();
@@ -250,7 +253,7 @@ ContinuousScheduler::runGroup(
         Tensor out;
         bool ok = true;
         try {
-            out = step(layer, stacked, starts, mode, ln);
+            out = checkedStep(stacked, starts);
         } catch (...) {
             ok = false;
         }
@@ -346,8 +349,8 @@ ContinuousScheduler::stepLoop()
                        a.x.rows() <= cfg.decodeMaxRows;
             a.result = std::move(p.result);
             a.done = std::move(p.done);
-            a.seq = nextSeq++;
             a.deadline = p.deadline;
+            a.admitted = joinNow;
             ++st.joins;
             active.push_back(std::move(a));
         }
@@ -395,7 +398,6 @@ ContinuousScheduler::stepLoop()
                 g[it->layer].push_back(it);
             return g;
         };
-        const auto decodeGroups = grouped(decodeSel);
         const auto prefillGroups = grouped(prefillSel);
 
         // Step outside the lock: submits keep landing while the
@@ -416,7 +418,6 @@ ContinuousScheduler::stepLoop()
         std::vector<std::list<Active>::iterator> finished, failed;
         std::vector<std::list<Active>::iterator> expiredMid;
         std::vector<std::exception_ptr> failures;
-        const auto t0 = std::chrono::steady_clock::now();
 
         // Decode class runs to COMPLETION within the iteration: its
         // rows are cheap (bounded by decodeTokens) and a short
@@ -460,10 +461,7 @@ ContinuousScheduler::stepLoop()
         for (const auto &g : prefillGroups)
             runGroup(g.second, lane, false, finished, failed,
                      failures);
-        const double stepSecs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
+        const auto doneAt = std::chrono::steady_clock::now();
 
         // Leave: resolve finished, poisoned, and expired requests
         // (callbacks run unlocked), then drop them from the batch.
@@ -487,16 +485,22 @@ ContinuousScheduler::stepLoop()
         st.completed += finished.size();
         st.failedRequests += failed.size();
         st.expiredRequests += expiredMid.size();
-        for (const auto &it : finished)
+        // Service-time EWMA over finished requests: a decode runs
+        // its whole pass inside one iteration, so per-iteration step
+        // time x layer count would overstate it up to nSteps-fold.
+        for (const auto &it : finished) {
+            const double pass =
+                std::chrono::duration<double>(doneAt - it->admitted)
+                    .count();
+            recentPass = recentPass == 0
+                             ? pass
+                             : 0.75 * recentPass + 0.25 * pass;
             active.erase(it);
+        }
         for (const auto &it : failed)
             active.erase(it);
         for (const auto &it : expiredMid)
             active.erase(it);
-        if (tally.steps > 0)
-            recentStep = recentStep == 0
-                             ? stepSecs
-                             : 0.75 * recentStep + 0.25 * stepSecs;
         cvDone.notify_all();
     }
 }

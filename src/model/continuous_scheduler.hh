@@ -1,7 +1,8 @@
 /**
  * @file
- * Continuous iteration-level batch scheduler — the serving front end
- * that re-forms the running batch every step.
+ * Continuous iteration-level batch scheduler — the one serving
+ * scheduler in front of the quantized pipeline. It re-forms the
+ * running batch every step.
  *
  * The model is a bidirectional encoder (full softmax over the whole
  * sequence), so the indivisible scheduling unit is one encoder LAYER
@@ -12,7 +13,7 @@
  * to the one-shot forward()/forwardBatch() by the step composition
  * contract (see pipeline.hh).
  *
- * Two-class policy (the tentpole of this scheduler):
+ * Two-class policy:
  *
  *  - Requests with at most decodeMaxRows rows form the DECODE class
  *    (the latency-critical short requests of a serving mix); all
@@ -25,8 +26,7 @@
  *    least one always advances) — and the selected decodes run to
  *    COMPLETION within the iteration, since their rows are cheap. A
  *    decode request therefore never waits behind a long prefill for
- *    more than the one in-flight layer step — run-to-completion
- *    batching would park it for the prefill's whole pass.
+ *    more than the one in-flight layer step.
  *
  *  - Prefill advancement is metered by chunkTokens stacked rows per
  *    iteration, FIFO, at least one per iteration (no starvation):
@@ -38,15 +38,30 @@
  *    maxBatch co-resident requests); finished requests leave and
  *    free their slot immediately — no batch-boundary barriers.
  *
+ * Run-to-completion batching is a setting of the same loop, not a
+ * second scheduler: with decodeMaxRows = SIZE_MAX every request is
+ * decode class, so each iteration stacks up to decodeTokens rows of
+ * admitted requests and runs them through every layer before the
+ * next arrival may join — later arrivals wait out the whole pass.
+ * bench_serving compares the two settings with
+ * {maxBatch = 4, decodeMaxRows = SIZE_MAX, decodeTokens = 96} as the
+ * run-to-completion comparand.
+ *
  * Knobs: MOKEY_CHUNK_TOKENS overrides chunkTokens and
  * MOKEY_DECODE_PRIORITY overrides decodePriority at construction.
  *
- * Failure semantics: a step whose forward throws fails only the
- * requests that actually poison it — the group's members are retried
- * individually, the thrower(s) observe the exception through their
- * future/callback, and everyone else keeps stepping. Like
- * BatchScheduler, submit() on a stopped scheduler is rejected
- * gracefully and stop() flushes queued work before joining.
+ * Failure semantics (what a serving deployment relies on):
+ *  - A step whose forward throws (or returns the wrong shape) fails
+ *    only the requests that actually poison it: the group's members
+ *    are retried individually, the thrower(s) observe the exception
+ *    through their future/callback, and everyone else keeps
+ *    stepping. The process never terminates because an engine threw.
+ *  - submit() on a stopped/stopping scheduler is rejected
+ *    gracefully: the future carries a std::runtime_error (the
+ *    callback overload returns false) so a draining server can shed
+ *    the request with a 503 instead of crashing on the race.
+ *  - stop() (and the destructor) flush queued and active work
+ *    before joining.
  */
 
 #ifndef MOKEY_MODEL_CONTINUOUS_SCHEDULER_HH
@@ -60,15 +75,48 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "model/pipeline.hh"
-#include "model/scheduler.hh"
 
 namespace mokey
 {
+
+/**
+ * Per-request completion callback (the async alternative to the
+ * future API, used by the network front-end). Invoked exactly once
+ * from the step thread: on success with the output tensor and a
+ * null exception pointer, on failure with an empty tensor and the
+ * exception that failed the request.
+ */
+using BatchCompletion =
+    std::function<void(Tensor output, std::exception_ptr error)>;
+
+/**
+ * Absolute per-request deadline on the steady clock; kNoDeadline
+ * (the default) means the request never expires. The serving
+ * front-end stamps one from the client's X-Mokey-Deadline-Ms header.
+ */
+using Deadline = std::chrono::steady_clock::time_point;
+inline constexpr Deadline kNoDeadline = Deadline::max();
+
+/**
+ * The error an expired request observes: its deadline passed while
+ * it sat queued or between layer steps — the client already gave
+ * up, so finishing the work would only burn engine time. The HTTP
+ * front-end maps this to 504.
+ */
+class DeadlineExpired : public std::runtime_error
+{
+  public:
+    DeadlineExpired()
+        : std::runtime_error("request deadline expired")
+    {
+    }
+};
 
 /** Iteration-level scheduling knobs. */
 struct ContinuousSchedulerConfig
@@ -120,7 +168,7 @@ using StepForwardFn = std::function<Tensor(
     const std::vector<size_t> &starts, QuantMode mode, Lane lane)>;
 
 /** Iteration-level two-class scheduler for one pipeline. */
-class ContinuousScheduler : public ServingScheduler
+class ContinuousScheduler
 {
   public:
     /**
@@ -132,6 +180,12 @@ class ContinuousScheduler : public ServingScheduler
     ContinuousScheduler(const QuantizedTransformer &engine,
                         QuantMode mode,
                         ContinuousSchedulerConfig cfg = {});
+
+    /** The scheduler keeps a reference to @p engine: a temporary
+     *  would dangle as soon as the constructor returned. */
+    ContinuousScheduler(const QuantizedTransformer &&engine,
+                        QuantMode mode,
+                        ContinuousSchedulerConfig cfg = {}) = delete;
 
     /**
      * Step onto an arbitrary one-layer forward of @p steps layers.
@@ -163,8 +217,6 @@ class ContinuousScheduler : public ServingScheduler
     std::future<Tensor> submit(Tensor input,
                                Deadline deadline = kNoDeadline);
 
-    using ServingScheduler::submit;
-
     /**
      * Callback-style submit (the event-loop front-end's path).
      * Returns false without invoking @p done when stopped/stopping
@@ -173,30 +225,28 @@ class ContinuousScheduler : public ServingScheduler
      * must not re-enter the scheduler.
      */
     bool submit(Tensor input, BatchCompletion done,
-                Deadline deadline) override;
+                Deadline deadline = kNoDeadline);
 
     /** Block until every submitted request has completed. */
-    void drain() override;
+    void drain();
 
     /**
      * Stop accepting work, flush queued + active requests, join the
      * step thread. Idempotent; the destructor calls it.
      */
-    void stop() override;
+    void stop();
 
     /** Requests admitted but not yet completed (queued + active). */
-    size_t queueDepth() const override;
+    size_t queueDepth() const;
 
     /**
-     * EWMA of the recent full-pass service time: per-iteration step
-     * wall time smoothed, scaled by the layer count — what a fresh
-     * request should expect end to end. Zero until the first
-     * iteration that ran steps.
+     * EWMA of the measured service time of recently finished
+     * requests, in seconds: from admission into the running batch to
+     * completion, so queueing before admission is not counted. This
+     * is what one dispatch wave costs; the serving front end sizes
+     * 503 Retry-After hints from it. Zero until a request finishes.
      */
-    double recentBatchSeconds() const override;
-
-    /** EWMA of recent per-iteration step wall time (seconds). */
-    double recentStepSeconds() const;
+    double recentBatchSeconds() const;
 
     ContinuousSchedulerStats stats() const;
 
@@ -212,8 +262,8 @@ class ContinuousScheduler : public ServingScheduler
         bool decode;  ///< class at admission (row count is stable)
         std::promise<Tensor> result; ///< unused when done is set
         BatchCompletion done;        ///< callback path when non-null
-        uint64_t seq;                ///< admission order (FIFO ties)
         Deadline deadline = kNoDeadline;
+        std::chrono::steady_clock::time_point admitted;
     };
 
     struct Pending
@@ -260,11 +310,10 @@ class ContinuousScheduler : public ServingScheduler
     std::deque<Pending> queue;
     std::list<Active> active; ///< running batch (step thread edits)
     size_t resolving = 0; ///< expired, completion still running (mu)
-    uint64_t nextSeq = 0;
     bool stopping = false;
     bool joinedFlag = false;
     ContinuousSchedulerStats st;
-    double recentStep = 0; ///< EWMA of iteration step seconds (mu)
+    double recentPass = 0; ///< EWMA of admission-to-done secs (mu)
 
     /** Per-iteration counters the step thread fills while unlocked,
      *  merged into st under mu at the end of each iteration. */

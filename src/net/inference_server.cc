@@ -125,11 +125,11 @@ unsigned
 retryAfterSeconds(double recentSeconds, size_t depth,
                   size_t maxBatch)
 {
-    // Cold start: before the first batch completes the EWMA is zero,
-    // but the backlog is still real — a replica slammed at startup
-    // must not tell every shed client "retry in 1s" regardless of
-    // how deep its queue is. Assume a nominal wave cost until a
-    // measurement replaces it.
+    // Cold start: before the first request completes the EWMA is
+    // zero, but the backlog is still real — a replica slammed at
+    // startup must not tell every shed client "retry in 1s"
+    // regardless of how deep its queue is. Assume a nominal wave
+    // cost until a measurement replaces it.
     const double per =
         recentSeconds > 0 ? recentSeconds : kColdStartWaveSeconds;
     // Waves of work ahead of a retrying client: the backlog in
@@ -148,58 +148,33 @@ retryAfterSeconds(double recentSeconds, size_t depth,
 
 InferenceServer::InferenceServer(const QuantizedTransformer &pipe,
                                  InferenceServerConfig c)
-    : cfg(c), expectCols(pipe.modelConfig().hidden)
+    : InferenceServer(std::make_unique<ContinuousScheduler>(
+                          pipe, c.mode, c.continuousScheduler),
+                      pipe.modelConfig().hidden, c)
 {
-    if (cfg.continuous) {
-        auto s = std::make_unique<ContinuousScheduler>(
-            pipe, cfg.mode, cfg.continuousScheduler);
-        contSched = s.get();
-        initScheduler(std::move(s));
-    } else {
-        auto s = std::make_unique<BatchScheduler>(
-            pipe, cfg.mode, cfg.scheduler);
-        batchSched = s.get();
-        initScheduler(std::move(s));
-    }
-}
-
-InferenceServer::InferenceServer(BatchForwardFn forward,
-                                 size_t expect_cols,
-                                 InferenceServerConfig c)
-    : cfg(c), expectCols(expect_cols)
-{
-    auto s = std::make_unique<BatchScheduler>(
-        std::move(forward), cfg.mode, cfg.scheduler);
-    batchSched = s.get();
-    initScheduler(std::move(s));
 }
 
 InferenceServer::InferenceServer(StepForwardFn step, size_t steps,
                                  size_t expect_cols,
                                  InferenceServerConfig c)
-    : cfg(c), expectCols(expect_cols)
+    : InferenceServer(std::make_unique<ContinuousScheduler>(
+                          std::move(step), steps, c.mode,
+                          c.continuousScheduler),
+                      expect_cols, c)
 {
-    auto s = std::make_unique<ContinuousScheduler>(
-        std::move(step), steps, cfg.mode, cfg.continuousScheduler);
-    contSched = s.get();
-    initScheduler(std::move(s));
 }
 
-void
-InferenceServer::initScheduler(std::unique_ptr<ServingScheduler> s)
+InferenceServer::InferenceServer(std::unique_ptr<ContinuousScheduler> s,
+                                 size_t expect_cols,
+                                 InferenceServerConfig c)
+    : cfg(c), expectCols(expect_cols),
+      server(std::make_unique<SocketServer>(
+          cfg.socket,
+          [this](uint64_t connId, HttpRequest &&req) {
+              onRequest(connId, std::move(req));
+          })),
+      sched(std::move(s))
 {
-    server = std::make_unique<SocketServer>(
-        cfg.socket, [this](uint64_t connId, HttpRequest &&req) {
-            onRequest(connId, std::move(req));
-        });
-    sched = std::move(s);
-}
-
-size_t
-InferenceServer::batchCapacity() const
-{
-    return contSched ? cfg.continuousScheduler.maxBatch
-                     : cfg.scheduler.maxBatch;
 }
 
 InferenceServer::~InferenceServer()
@@ -223,7 +198,7 @@ InferenceServer::drain()
     // requests with 503), let the scheduler finish everything
     // already admitted (completions post their responses), wait for
     // the loop to flush and close every connection, then stop the
-    // dispatchers.
+    // step thread.
     server->beginDrain();
     sched->drain();
     server->waitDrained();
@@ -287,32 +262,18 @@ InferenceServer::statsJson() const
     j += "  \"accepted\": " + u(ss.accepted) + ",\n";
     j += "  \"peer_refused\": " + u(ss.peerRefused) + ",\n";
     j += "  \"drain_sheds\": " + u(ss.drainSheds) + ",\n";
-    j += "  \"scheduler\": \"" +
-         std::string(contSched ? "continuous" : "batch") + "\",\n";
     j += "  \"recent_batch_seconds\": " +
          std::to_string(sched->recentBatchSeconds()) + ",\n";
-    if (contSched) {
-        const ContinuousSchedulerStats cs = contSched->stats();
-        j += "  \"iterations\": " + u(cs.iterations) + ",\n";
-        j += "  \"steps\": " + u(cs.steps) + ",\n";
-        j += "  \"decode_steps\": " + u(cs.decodeSteps) + ",\n";
-        j += "  \"prefill_steps\": " + u(cs.prefillSteps) + ",\n";
-        j += "  \"step_rows\": " + u(cs.stepRows) + ",\n";
-        j += "  \"joins\": " + u(cs.joins) + ",\n";
-        j += "  \"prefill_deferrals\": " +
-             u(cs.prefillDeferrals) + ",\n";
-        j += "  \"expired_requests\": " +
-             u(cs.expiredRequests) + ",\n";
-        j += "  \"failed_requests\": " +
-             u(cs.failedRequests) + "\n";
-    } else {
-        const BatchSchedulerStats bs = batchSched->stats();
-        j += "  \"batches\": " + u(bs.batches) + ",\n";
-        j += "  \"failed_batches\": " + u(bs.failedBatches) + ",\n";
-        j += "  \"expired_requests\": " +
-             u(bs.expiredRequests) + ",\n";
-        j += "  \"batched_rows\": " + u(bs.batchedRows) + "\n";
-    }
+    const ContinuousSchedulerStats cs = sched->stats();
+    j += "  \"iterations\": " + u(cs.iterations) + ",\n";
+    j += "  \"steps\": " + u(cs.steps) + ",\n";
+    j += "  \"decode_steps\": " + u(cs.decodeSteps) + ",\n";
+    j += "  \"prefill_steps\": " + u(cs.prefillSteps) + ",\n";
+    j += "  \"step_rows\": " + u(cs.stepRows) + ",\n";
+    j += "  \"joins\": " + u(cs.joins) + ",\n";
+    j += "  \"prefill_deferrals\": " + u(cs.prefillDeferrals) + ",\n";
+    j += "  \"expired_requests\": " + u(cs.expiredRequests) + ",\n";
+    j += "  \"failed_requests\": " + u(cs.failedRequests) + "\n";
     j += "}\n";
     return j;
 }
@@ -322,10 +283,10 @@ InferenceServer::completeForward(uint64_t connId, bool keep_alive,
                                  Tensor &&out,
                                  std::exception_ptr err)
 {
-    // Runs on a scheduler dispatcher thread; everything it touches
+    // Runs on the scheduler's step thread; everything it touches
     // is thread-safe (counters, the server outbox).
     if (err) {
-        std::string what = "batch forward failed";
+        std::string what = "forward failed";
         bool expired = false;
         try {
             std::rethrow_exception(err);
@@ -496,11 +457,12 @@ InferenceServer::onRequest(uint64_t connId, HttpRequest &&req)
     // less-loaded replica.
     const size_t depth = sched->queueDepth();
     if (depth >= cfg.maxQueueDepth) {
-        // Retry-After from measured recent batch latency, not a
+        // Retry-After from measured recent service time, not a
         // constant: a loaded 12-layer model and a toy stub tell the
         // client very different things.
         const unsigned after = retryAfterSeconds(
-            sched->recentBatchSeconds(), depth, batchCapacity());
+            sched->recentBatchSeconds(), depth,
+            cfg.continuousScheduler.maxBatch);
         ++counters.shed;
         server->respond(
             connId,

@@ -1,31 +1,31 @@
 /**
  * @file
  * The production serving front-end: epoll HTTP server wrapped around
- * a ServingScheduler (the continuous iteration-level scheduler by
- * default; the run-to-completion BatchScheduler as the fallback —
- * same wire protocol either way).
+ * the continuous iteration-level scheduler (continuous_scheduler.hh;
+ * run-to-completion batching is a setting of that scheduler, see
+ * there).
  *
  * Request flow: the SocketServer loop parses a POST /v1/forward, the
  * handler validates the binary tensor body, applies admission
  * control (queue-depth cap -> 503 shed with a Retry-After sized from
- * measured recent batch latency, per-client fairness via the socket
+ * measured recent service time, per-client fairness via the socket
  * layer's per-peer connection cap), and submits to the scheduler
- * with a completion callback. When the request's batch (or its last
- * layer step) finishes, the callback — on a scheduler thread —
+ * with a completion callback. When the request's last layer step
+ * finishes, the callback — on the scheduler's step thread —
  * streams the output tensor back as chunked transfer frames (one
  * dims frame, one frame per row, terminator) through the server's
  * thread-safe outbox. Bytes on the wire are the exact float32 bits
  * forward() produced: serving is bit-identical to in-process calls.
  *
  * Failure flow: an engine exception becomes a 500 on exactly the
- * requests of the failed batch; a submit that races drain/stop
- * becomes a 503; neither takes the process down (the scheduler's
- * contract after the failure-path fixes).
+ * requests that poisoned the failed step; a submit that races
+ * drain/stop becomes a 503; neither takes the process down (the
+ * scheduler's failure contract).
  *
  * Deadlines: a client may send X-Mokey-Deadline-Ms: N on
  * /v1/forward. The handler stamps an absolute steady-clock deadline
- * at admission; a request whose deadline passes while queued (or,
- * continuous mode, between layer steps) completes with 504 instead
+ * at admission; a request whose deadline passes while queued or
+ * between layer steps completes with 504 instead
  * of burning engine time. A junk header value is a 400.
  *
  * Endpoints:
@@ -53,7 +53,6 @@
 #include <string>
 
 #include "model/continuous_scheduler.hh"
-#include "model/scheduler.hh"
 #include "net/socket_server.hh"
 
 namespace mokey::net
@@ -64,19 +63,7 @@ struct InferenceServerConfig
 {
     SocketServerConfig socket;
 
-    /**
-     * Serve through the continuous iteration-level scheduler (the
-     * default) or the run-to-completion BatchScheduler. Only the
-     * pipeline constructor honors this; the BatchForwardFn
-     * constructor is inherently batch-mode (it interposes on the
-     * whole-batch forward).
-     */
-    bool continuous = true;
-
-    /** Knobs when continuous == false. */
-    BatchSchedulerConfig scheduler;
-
-    /** Knobs when continuous == true. */
+    /** Scheduling knobs of the continuous scheduler. */
     ContinuousSchedulerConfig continuousScheduler;
 
     /** Quantization mode every served request runs under. */
@@ -101,7 +88,7 @@ struct InferenceServerStats
     uint64_t requests = 0;    ///< /v1/forward requests received
     uint64_t completed = 0;   ///< 200 responses streamed
     uint64_t shed = 0;        ///< 503: queue-depth cap or stop race
-    uint64_t failed = 0;      ///< 500: batch forward threw
+    uint64_t failed = 0;      ///< 500: the request's step threw
     uint64_t badRequests = 0; ///< 400/404/405 at the route layer
     uint64_t expired = 0;     ///< 504: deadline passed before done
 };
@@ -128,7 +115,7 @@ unsigned retryAfterSeconds(double recentSeconds, size_t depth,
 /**
  * What retryAfterSeconds assumes one dispatch wave costs before any
  * latency has been measured (cold start): a queued-up replica that
- * has not completed a batch yet still hints proportionally to its
+ * has not completed a request yet still hints proportionally to its
  * backlog instead of collapsing to the 1-second clamp floor.
  */
 inline constexpr double kColdStartWaveSeconds = 0.25;
@@ -151,20 +138,15 @@ class InferenceServer
     InferenceServer(const QuantizedTransformer &pipe,
                     InferenceServerConfig cfg = {});
 
-    /**
-     * Serve an arbitrary batched forward through the run-to-
-     * completion BatchScheduler (tests inject failures and stubs
-     * this way; cfg.continuous is ignored). @p expect_cols validates
-     * request width when non-zero.
-     */
-    InferenceServer(BatchForwardFn forward, size_t expect_cols,
-                    InferenceServerConfig cfg = {});
+    /** The server keeps a reference to @p pipe: a temporary would
+     *  dangle as soon as the constructor returned. */
+    InferenceServer(const QuantizedTransformer &&pipe,
+                    InferenceServerConfig cfg = {}) = delete;
 
     /**
-     * Serve an arbitrary one-layer step of @p steps layers through
-     * the continuous scheduler (the continuous-mode counterpart of
-     * the BatchForwardFn constructor, for fault injection and
-     * stubs). @p expect_cols validates request width when non-zero.
+     * Serve an arbitrary one-layer step of @p steps layers (fault
+     * injection, stubs and tracing interpose this way).
+     * @p expect_cols validates request width when non-zero.
      */
     InferenceServer(StepForwardFn step, size_t steps,
                     size_t expect_cols,
@@ -210,35 +192,23 @@ class InferenceServer
     InferenceServerStats stats() const;
     SocketServerStats socketStats() const { return server->stats(); }
 
-    /** True when serving through the continuous scheduler. */
-    bool continuousMode() const { return contSched != nullptr; }
-
-    /** Batch-mode scheduler counters ({} in continuous mode). */
-    BatchSchedulerStats schedulerStats() const
-    {
-        return batchSched ? batchSched->stats()
-                          : BatchSchedulerStats{};
-    }
-
-    /** Continuous-mode scheduler counters ({} in batch mode). */
+    /** Scheduler counters. */
     ContinuousSchedulerStats continuousSchedulerStats() const
     {
-        return contSched ? contSched->stats()
-                         : ContinuousSchedulerStats{};
+        return sched->stats();
     }
 
     /** Admitted-but-uncompleted requests (the admission signal). */
     size_t queueDepth() const { return sched->queueDepth(); }
 
   private:
-    void initScheduler(std::unique_ptr<ServingScheduler> s);
+    InferenceServer(std::unique_ptr<ContinuousScheduler> s,
+                    size_t expect_cols, InferenceServerConfig cfg);
+
     void onRequest(uint64_t connId, HttpRequest &&req);
     void completeForward(uint64_t connId, bool keep_alive,
                          Tensor &&out, std::exception_ptr err);
     std::string statsJson() const;
-
-    /** Requests one dispatch wave absorbs (Retry-After scaling). */
-    size_t batchCapacity() const;
 
     const InferenceServerConfig cfg;
     const size_t expectCols;
@@ -247,9 +217,7 @@ class InferenceServer
     // (posts outbox) must outlive the scheduler (whose completion
     // callbacks post into it).
     std::unique_ptr<SocketServer> server;
-    std::unique_ptr<ServingScheduler> sched;
-    BatchScheduler *batchSched = nullptr;    ///< owned by sched
-    ContinuousScheduler *contSched = nullptr; ///< owned by sched
+    std::unique_ptr<ContinuousScheduler> sched;
     std::atomic<bool> drained{false};
     std::atomic<bool> draining{false}; ///< beginDrain()/drain() ran
 

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 #include <gtest/gtest.h>
 
@@ -290,6 +291,16 @@ tinyConfig()
     return ModelConfig{"tiny", 2, 32, 2, 128, 256};
 }
 
+// The server keeps a reference to the pipeline, so binding a
+// temporary must not compile.
+static_assert(std::is_constructible_v<net::InferenceServer,
+                                      const QuantizedTransformer &>);
+static_assert(!std::is_constructible_v<net::InferenceServer,
+                                       QuantizedTransformer &&>);
+static_assert(!std::is_constructible_v<net::InferenceServer,
+                                       QuantizedTransformer &&,
+                                       net::InferenceServerConfig>);
+
 class NetServingFixture : public ::testing::Test
 {
   protected:
@@ -317,7 +328,6 @@ TEST_F(NetServingFixture, ServedBytesBitIdenticalToDirectForward)
     for (const bool stream_rows : {true, false}) {
         net::InferenceServerConfig cfg;
         cfg.streamRows = stream_rows;
-        cfg.scheduler.flushTimeout = std::chrono::microseconds(500);
         net::InferenceServer srv(pipeline, cfg);
         srv.start();
 
@@ -400,7 +410,8 @@ TEST_F(NetServingFixture, HealthzStatsAndRouteErrors)
     srv.drain();
 }
 
-/** Functor-engine server: echo with a configurable service time. */
+/** Stub-step server: a one-layer echo with a configurable service
+ *  time. */
 struct SlowEchoServer
 {
     static constexpr size_t kCols = 8;
@@ -408,12 +419,12 @@ struct SlowEchoServer
     explicit SlowEchoServer(std::chrono::milliseconds delay,
                             net::InferenceServerConfig cfg = {})
         : server(
-              [delay](const std::vector<Tensor> &inputs, QuantMode,
-                      Lane) {
+              [delay](size_t, const Tensor &stacked,
+                      const std::vector<size_t> &, QuantMode, Lane) {
                   std::this_thread::sleep_for(delay);
-                  return inputs; // echo
+                  return stacked; // echo
               },
-              kCols, cfg)
+              1, kCols, cfg)
     {
         server.start();
     }
@@ -425,7 +436,7 @@ TEST(NetAdmission, OverloadShedsWith503AtQueueDepthCap)
 {
     net::InferenceServerConfig cfg;
     cfg.maxQueueDepth = 2;
-    cfg.scheduler.maxBatch = 1;
+    cfg.continuousScheduler.maxBatch = 1;
     SlowEchoServer srv(std::chrono::milliseconds(100), cfg);
 
     constexpr int kClients = 8;
@@ -523,9 +534,7 @@ rawPipelinedExchange(uint16_t port, const std::string &wire,
 
 TEST(NetDrain, GracefulDrainCompletesInflightAndShedsNew)
 {
-    net::InferenceServerConfig cfg;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
-    SlowEchoServer srv(std::chrono::milliseconds(150), cfg);
+    SlowEchoServer srv(std::chrono::milliseconds(150));
     const uint16_t port = srv.server.port();
 
     Tensor in(3, SlowEchoServer::kCols);
@@ -583,7 +592,6 @@ TEST(NetBackpressure, InflightFloodPausesReadsThenRecovers)
     cfg.socket.limits.maxHeaderBytes = 512;
     cfg.socket.limits.maxBodyBytes = 512;
     cfg.maxQueueDepth = 64;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
     SlowEchoServer srv(std::chrono::milliseconds(100), cfg);
 
     Tensor in(2, SlowEchoServer::kCols);
@@ -631,16 +639,15 @@ TEST(NetDrain, DestructorDrainsWithoutExplicitCall)
 TEST(NetFailure, EngineThrowBecomes500NotProcessDeath)
 {
     std::atomic<bool> poison{true};
-    net::InferenceServerConfig cfg;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
     net::InferenceServer srv(
-        [&poison](const std::vector<Tensor> &inputs, QuantMode,
-                  Lane) -> std::vector<Tensor> {
+        [&poison](size_t, const Tensor &stacked,
+                  const std::vector<size_t> &, QuantMode,
+                  Lane) -> Tensor {
             if (poison.load())
                 throw std::runtime_error("injected engine failure");
-            return inputs;
+            return stacked;
         },
-        4, cfg);
+        2, 4);
     srv.start();
 
     net::HttpClient client("127.0.0.1", srv.port());
@@ -653,8 +660,8 @@ TEST(NetFailure, EngineThrowBecomes500NotProcessDeath)
     EXPECT_NE(failed.body.find("injected engine failure"),
               std::string::npos);
 
-    // Same server, same connection: the next batch succeeds — the
-    // dispatcher survived the throw.
+    // Same server, same connection: the next request succeeds — the
+    // step thread survived the throw.
     poison = false;
     const auto okResp =
         client.post("/v1/forward", net::encodeTensorBody(in));
@@ -666,7 +673,7 @@ TEST(NetFailure, EngineThrowBecomes500NotProcessDeath)
     const auto st = srv.stats();
     EXPECT_EQ(st.failed, 1u);
     EXPECT_EQ(st.completed, 1u);
-    EXPECT_EQ(srv.schedulerStats().failedBatches, 1u);
+    EXPECT_EQ(srv.continuousSchedulerStats().failedRequests, 1u);
     srv.drain();
 }
 
@@ -691,42 +698,9 @@ TEST(NetRetryAfter, ScalesWithMeasuredLatencyAndBacklog)
     EXPECT_EQ(net::retryAfterSeconds(1.0, 3, 0), 4u);
 }
 
-TEST_F(NetServingFixture, BatchModeFallbackServesBitIdentical)
-{
-    // cfg.continuous = false must restore the PR 7 run-to-completion
-    // path exactly — same wire bytes, batch counters moving again.
-    net::InferenceServerConfig cfg;
-    cfg.continuous = false;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(500);
-    net::InferenceServer srv(pipeline, cfg);
-    srv.start();
-    EXPECT_FALSE(srv.continuousMode());
-
-    net::HttpClient client("127.0.0.1", srv.port());
-    const Tensor in = model.makeInput(9, 912);
-    const auto resp =
-        client.post("/v1/forward", net::encodeTensorBody(in));
-    ASSERT_EQ(resp.status, 200) << resp.body;
-    Tensor out;
-    ASSERT_TRUE(net::decodeTensorBody(resp.body, out));
-    const Tensor ref =
-        pipeline.forward(in, QuantMode::WeightsAndActivations);
-    ASSERT_EQ(out.rows(), ref.rows());
-    for (size_t j = 0; j < ref.size(); ++j)
-        ASSERT_EQ(out.raw()[j], ref.raw()[j]) << "elem=" << j;
-    EXPECT_GE(srv.schedulerStats().batches, 1u);
-
-    const auto stats = client.get("/v1/stats");
-    EXPECT_NE(stats.body.find("\"scheduler\": \"batch\""),
-              std::string::npos)
-        << stats.body;
-    srv.drain();
-}
-
 TEST(NetFailure, ContinuousPoisonBecomes500OnlyForThatRequest)
 {
-    // Continuous-mode counterpart of the batch fault-injection test:
-    // a step that throws for a marked request 500s that request
+    // A step that throws for a marked request 500s that request
     // alone; the step loop and every other request survive.
     net::InferenceServerConfig cfg;
     net::InferenceServer srv(
@@ -740,7 +714,6 @@ TEST(NetFailure, ContinuousPoisonBecomes500OnlyForThatRequest)
         },
         3, 4, cfg);
     srv.start();
-    EXPECT_TRUE(srv.continuousMode());
 
     net::HttpClient client("127.0.0.1", srv.port());
     Tensor poison(1, 4);
@@ -765,9 +738,6 @@ TEST(NetFailure, ContinuousPoisonBecomes500OnlyForThatRequest)
     EXPECT_EQ(srv.continuousSchedulerStats().failedRequests, 1u);
 
     const auto stats = client.get("/v1/stats");
-    EXPECT_NE(stats.body.find("\"scheduler\": \"continuous\""),
-              std::string::npos)
-        << stats.body;
     EXPECT_NE(stats.body.find("\"failed_requests\": 1"),
               std::string::npos)
         << stats.body;
@@ -778,13 +748,12 @@ TEST(NetFailure, ContinuousPoisonBecomes500OnlyForThatRequest)
 
 TEST(NetDeadline, ExpiredWhileQueuedBecomes504)
 {
-    // One-batch-at-a-time slow engine: request A occupies the
-    // dispatcher for ~200 ms while B waits queued with a 10 ms
-    // deadline. By the time the dispatcher pops B its deadline has
-    // passed — B must get a 504 without ever touching the engine.
+    // One-slot slow engine: request A occupies the only batch slot
+    // for ~200 ms while B waits queued with a 10 ms deadline. By the
+    // time B could join, its deadline has passed — B must get a 504
+    // without ever touching the engine.
     net::InferenceServerConfig cfg;
-    cfg.scheduler.maxBatch = 1;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
+    cfg.continuousScheduler.maxBatch = 1;
     SlowEchoServer srv(std::chrono::milliseconds(200), cfg);
 
     Tensor in(1, SlowEchoServer::kCols);
@@ -810,7 +779,8 @@ TEST(NetDeadline, ExpiredWhileQueuedBecomes504)
     EXPECT_EQ(st.expired, 1u);
     EXPECT_EQ(st.completed, 1u);
     EXPECT_EQ(st.failed, 0u);
-    EXPECT_GE(srv.server.schedulerStats().expiredRequests, 1u);
+    EXPECT_GE(srv.server.continuousSchedulerStats().expiredRequests,
+              1u);
 
     const auto stats = b.get("/v1/stats");
     EXPECT_NE(stats.body.find("\"expired\": 1"), std::string::npos)
@@ -877,9 +847,7 @@ TEST(NetDeadline, JunkDeadlineHeaderIs400)
 
 TEST(NetHealth, DrainingReportedTheInstantDrainBegins)
 {
-    net::InferenceServerConfig cfg;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
-    SlowEchoServer srv(std::chrono::milliseconds(150), cfg);
+    SlowEchoServer srv(std::chrono::milliseconds(150));
     EXPECT_EQ(srv.server.health(), net::ServerHealth::Ok);
 
     // Park a slow request so the event loop stays alive through the
@@ -935,9 +903,7 @@ TEST(NetHealth, WatchdogDegradedThenRecovers)
     {
         ~EnvClear() { ::unsetenv("MOKEY_WATCHDOG_MS"); }
     } envClear;
-    net::InferenceServerConfig cfg;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
-    SlowEchoServer srv(std::chrono::milliseconds(400), cfg);
+    SlowEchoServer srv(std::chrono::milliseconds(400));
     EXPECT_EQ(srv.server.health(), net::ServerHealth::Ok);
 
     net::HttpClient probe("127.0.0.1", srv.server.port());
@@ -1213,10 +1179,10 @@ TEST_F(NetServingFixture, ChaosEngineFaultsMapToExactRequests)
     // The acceptance bar for fault injection: with the engine-
     // dispatch site armed at a fixed seed, EXACTLY the requests
     // whose dispatches fired fail (500), everyone else is served
-    // bit-identically, and the server never dies. Batch mode with
-    // serial requests makes the mapping airtight: one request per
-    // batch, no isolation retries, so fired-count delta over a
-    // request <=> that request's engine threw.
+    // bit-identically, and the server never dies. Serial requests
+    // make the mapping airtight: each request steps alone, and a
+    // one-member group is never retried, so fired-count delta over
+    // a request <=> that request's engine threw.
     constexpr int kRequests = 24;
     std::vector<Tensor> ins, refs;
     for (int i = 0; i < kRequests; ++i)
@@ -1243,11 +1209,7 @@ TEST_F(NetServingFixture, ChaosEngineFaultsMapToExactRequests)
         inj.armed(FaultSite::EngineDispatch) &&
         !inj.armed(FaultSite::SockReset);
 
-    net::InferenceServerConfig cfg;
-    cfg.continuous = false;
-    cfg.scheduler.maxBatch = 1;
-    cfg.scheduler.flushTimeout = std::chrono::microseconds(200);
-    net::InferenceServer srv(pipeline, cfg);
+    net::InferenceServer srv(pipeline);
     srv.start();
     net::HttpClient client("127.0.0.1", srv.port());
 
