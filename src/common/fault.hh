@@ -17,17 +17,17 @@
  *   MOKEY_FAULT=<site>:<rate>:<seed>[,<site>:<rate>:<seed>...]
  *
  * e.g. MOKEY_FAULT=engine:0.1:42 fires the engine-dispatch throw on
- * ~10% of GEMM dispatches, deterministically for seed 42. Rate is a
- * decimal in (0, 1]; seed is a non-negative integer. A malformed
- * spec is a fatal config error naming the variable (the same
- * contract as every other MOKEY_* knob).
+ * ~10% of weight-site GEMM dispatches, deterministically for seed
+ * 42. Rate is a decimal in (0, 1]; seed is a non-negative integer. A
+ * malformed spec is a fatal config error naming the variable (the
+ * same contract as every other MOKEY_* knob).
  *
  * Cost when unset: every seam compiles to one relaxed atomic load
  * and a predicted-not-taken branch (faultFire() below) — no locks,
  * no clock reads, no allocation.
  *
  * What each site does when it fires:
- *   engine     indexMatmulTransB() dispatch throws
+ *   engine     a forward pass's weight-site GEMM dispatch throws
  *   step       QuantizedTransformer::forwardStep() throws
  *   stepdelay  forwardStep() sleeps ~2 ms (latency, not failure)
  *   sched      scheduler dispatch/step loop sleeps ~2 ms
@@ -53,7 +53,7 @@ namespace mokey
 
 /** The named seams fault injection can perturb. */
 enum class FaultSite : size_t {
-    EngineDispatch, ///< "engine": index GEMM dispatch throws
+    EngineDispatch, ///< "engine": weight-site GEMM dispatch throws
     StepThrow,      ///< "step": forwardStep throws
     StepDelay,      ///< "stepdelay": forwardStep sleeps
     SchedDelay,     ///< "sched": scheduler loop sleeps

@@ -2,7 +2,7 @@
  * @file
  * The once-per-graph execution plan of the fused forward path.
  *
- * The layer-at-a-time pipeline re-derives everything that is actually
+ * A layer-at-a-time walk would re-derive everything that is actually
  * constant for a served model on every GEMM call: the dictionary
  * product tables, the per-site engine decision, the epilogue scales,
  * and the activation-dictionary lookups. A GraphPlan hoists all of it
@@ -16,8 +16,8 @@
  * timed; from the third iteration on, each site is pinned to its
  * measured winner (QuantizedTransformer::enginePins() exposes the
  * outcome). With calibration off, sites resolve through the same
- * pure decision table as the layer-at-a-time path, which keeps the
- * two paths bit-identical.
+ * pure decision table as resolveIndexEngine(), which keeps the walk
+ * bit-identical to the layer-at-a-time replica in tests/reference/.
  */
 
 #ifndef MOKEY_MODEL_GRAPH_PLAN_HH

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -12,50 +11,6 @@
 
 namespace mokey
 {
-
-namespace
-{
-
-std::atomic<bool> &
-fusedEncodeSlot()
-{
-    static std::atomic<bool> slot{
-        envFlag("MOKEY_FUSED_ENCODE", true)};
-    return slot;
-}
-
-std::atomic<bool> &
-graphFuseSlot()
-{
-    static std::atomic<bool> slot{envFlag("MOKEY_GRAPH_FUSE", true)};
-    return slot;
-}
-
-} // anonymous namespace
-
-bool
-fusedActEncode()
-{
-    return fusedEncodeSlot().load(std::memory_order_relaxed);
-}
-
-void
-setFusedActEncode(bool fused)
-{
-    fusedEncodeSlot().store(fused, std::memory_order_relaxed);
-}
-
-bool
-graphFuse()
-{
-    return graphFuseSlot().load(std::memory_order_relaxed);
-}
-
-void
-setGraphFuse(bool fused)
-{
-    graphFuseSlot().store(fused, std::memory_order_relaxed);
-}
 
 const char *
 graphSiteName(size_t site)
@@ -217,54 +172,25 @@ QuantizedTransformer::activationDict(const TensorId &id) const
 }
 
 QuantizedTensor
-QuantizedTransformer::encodeAct(const TensorId &id, const Tensor &t,
-                                const QuantizedTensor *partner,
+QuantizedTransformer::encodeAct(const TensorDictionary &dict,
+                                const Tensor &t, IndexEngine e,
                                 Lane lane) const
 {
-    return encodeActDict(activationDict(id), t, partner, lane);
+    QuantizedTensor q =
+        quantizer.encodeToPlanes(t, dict, enginePlaneSet(e), lane);
+    countAct(q);
+    return q;
 }
 
-QuantizedTensor
-QuantizedTransformer::encodeActDict(const TensorDictionary &dict,
-                                    const Tensor &t,
-                                    const QuantizedTensor *partner,
-                                    Lane lane) const
+void
+QuantizedTransformer::countAct(const QuantizedTensor &q) const
 {
-    if (!fusedActEncode())
-        return countActCodes(quantizer.encode(t, dict, lane));
-
-    // Fused path: emit exactly the planes the downstream GEMM will
-    // stream, in one walk. Under Auto the engine is resolved here
-    // with the same inputs resolveIndexEngine() will see at GEMM
-    // time (shape + weight-side residency), so the encode never
-    // materializes a plane the GEMM ignores.
-    IndexEngine engine = indexEngine();
-    if (engine == IndexEngine::Auto)
-        engine = partner
-            ? autoEngineChoice(t.rows(), partner->rows(), t.cols(),
-                               partner->planesFootprint())
-            : IndexEngine::Count; // act x act: both sides cold
-    QuantizedTensor q = quantizer.encodeToPlanes(
-        t, dict, enginePlaneSet(engine), lane);
-    // Outlier-rate counters straight from the sidecar — the fused
-    // path has no code array to walk.
+    // Outlier-rate counters straight from the sidecar — planes-first
+    // tensors have no code array to walk. Attention jobs of
+    // concurrent batched forwards all feed these two counters.
     actOtCodes.fetch_add(q.planesFootprint().outlierEntries,
                          std::memory_order_relaxed);
     actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
-    return q;
-}
-
-QuantizedTensor
-QuantizedTransformer::countActCodes(QuantizedTensor q) const
-{
-    // Count privately, publish once: attention jobs of concurrent
-    // batched forwards all feed these two counters.
-    uint64_t ot = 0;
-    for (const QCode c : q.raw())
-        ot += c.isOutlier();
-    actOtCodes.fetch_add(ot, std::memory_order_relaxed);
-    actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
-    return q;
 }
 
 IndexEngine
@@ -279,33 +205,12 @@ QuantizedTransformer::siteEngine(const SitePlan &site, size_t aRows,
         return static_cast<IndexEngine>(pin);
     if (calibrating && iter < 2)
         return iter == 0 ? IndexEngine::Mag : IndexEngine::Count;
-    // Calibration off (or still warming): the exact decision table
-    // the layer-at-a-time path resolves through, so the two forward
-    // paths pick the same engine for every GEMM.
+    // Calibration off (or still warming): the pure decision table,
+    // with the inputs resolveIndexEngine() reads for a GEMM of this
+    // shape.
     return autoEngineChoice(aRows, site.weight->rows(),
                             site.constants.k,
                             site.weight->planesFootprint());
-}
-
-QuantizedTensor
-QuantizedTransformer::encodeActForSite(const TensorDictionary &dict,
-                                       const Tensor &t, IndexEngine e,
-                                       Lane lane) const
-{
-    if (!fusedActEncode())
-        return countActCodes(quantizer.encode(t, dict, lane));
-    QuantizedTensor q =
-        quantizer.encodeToPlanes(t, dict, enginePlaneSet(e), lane);
-    countFusedAct(q);
-    return q;
-}
-
-void
-QuantizedTransformer::countFusedAct(const QuantizedTensor &q) const
-{
-    actOtCodes.fetch_add(q.planesFootprint().outlierEntries,
-                         std::memory_order_relaxed);
-    actTotalCodes.fetch_add(q.size(), std::memory_order_relaxed);
 }
 
 FusedGemmOut
@@ -316,10 +221,9 @@ QuantizedTransformer::runSite(SitePlan &site,
                               PlaneSet outSets, bool keepDense,
                               bool calibrating, Lane lane) const
 {
-    // Engine-dispatch seam of the fused path (the unfused path's is
-    // in indexMatmulTransB). Sits on the caller's thread, before any
-    // parallelFor fan-out, so an injected throw unwinds to the
-    // scheduler instead of a worker.
+    // The engine-dispatch fault seam. Sits on the caller's thread,
+    // before any parallelFor fan-out, so an injected throw unwinds to
+    // the scheduler instead of a worker.
     faultPoint(FaultSite::EngineDispatch);
     if (!calibrating ||
         site.pinned.load(std::memory_order_relaxed) >= 0)
@@ -426,92 +330,6 @@ QuantizedTransformer::pinEngines(const std::vector<EnginePin> &pins) const
 }
 
 Tensor
-QuantizedTransformer::forwardLayerQuantized(
-    size_t l, const Tensor &input, const std::vector<size_t> &starts,
-    Lane lane) const
-{
-    const ModelConfig &cfg = model.config();
-    const EncoderWeights &w = model.weights()[l];
-    const QuantizedLayer &ql = layers[l];
-    const size_t total = input.rows();
-    const size_t hd = cfg.headDim();
-    const size_t batch = starts.size() - 1;
-
-    // QKV projections in the index domain: the whole batch is
-    // re-quantized at once (the fused encode is parallel over the
-    // stacked rows and emits planes directly) and multiplied in one
-    // engine call per weight matrix. wq stands in for wk/wv as the
-    // Auto partner — all three share shape and pinned plane set.
-    const QuantizedTensor qx =
-        encodeAct({l, "x"}, input, &ql.wq, lane);
-    Tensor q = indexMatmulTransB(qx, ql.wq, &mmStats, lane);
-    Tensor k = indexMatmulTransB(qx, ql.wk, &mmStats, lane);
-    Tensor v = indexMatmulTransB(qx, ql.wv, &mmStats, lane);
-    addBias(q, w.bq);
-    addBias(k, w.bk);
-    addBias(v, w.bv);
-
-    // Attention: activation x activation GEMMs also run on indexes.
-    const auto &dq = activationDict({l, "q"});
-    const auto &dk = activationDict({l, "k"});
-    const auto &dv = activationDict({l, "v"});
-    const auto &dp = activationDict({l, "p"});
-
-    // One job per (sequence, head) pair: attention never crosses a
-    // sequence boundary, and every job writes a disjoint block of
-    // ctx — with the stats counters atomic the jobs finally fan out
-    // over the pool.
-    Tensor ctx(total, cfg.hidden);
-    const auto inv_sqrt =
-        static_cast<float>(1.0 / std::sqrt(static_cast<double>(hd)));
-    parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
-        const size_t b = job / cfg.heads;
-        const size_t h = job % cfg.heads;
-        const size_t r0 = starts[b];
-        const size_t seq = starts[b + 1] - r0;
-        Tensor qh(seq, hd), kh(seq, hd), vht(hd, seq);
-        for (size_t r = 0; r < seq; ++r) {
-            for (size_t c = 0; c < hd; ++c) {
-                qh.at(r, c) = q.at(r0 + r, h * hd + c);
-                kh.at(r, c) = k.at(r0 + r, h * hd + c);
-                vht.at(c, r) = v.at(r0 + r, h * hd + c);
-            }
-        }
-        Tensor scores = indexMatmulTransB(
-            encodeActDict(dq, qh, nullptr, lane),
-            encodeActDict(dk, kh, nullptr, lane), &mmStats, lane);
-        scale(scores, inv_sqrt);
-        softmaxRows(scores);
-        const Tensor out = indexMatmulTransB(
-            encodeActDict(dp, scores, nullptr, lane),
-            encodeActDict(dv, vht, nullptr, lane), &mmStats, lane);
-        for (size_t r = 0; r < seq; ++r)
-            for (size_t c = 0; c < hd; ++c)
-                ctx.at(r0 + r, h * hd + c) = out.at(r, c);
-    });
-
-    Tensor attn = indexMatmulTransB(
-        encodeAct({l, "ctx"}, ctx, &ql.wo, lane), ql.wo, &mmStats,
-        lane);
-    addBias(attn, w.bo);
-    Tensor res1 = add(attn, input);
-    layerNormRows(res1);
-
-    Tensor mid = indexMatmulTransB(
-        encodeAct({l, "mid_in"}, res1, &ql.w1, lane), ql.w1,
-        &mmStats, lane);
-    addBias(mid, w.b1);
-    gelu(mid);
-    Tensor out = indexMatmulTransB(
-        encodeAct({l, "mid"}, mid, &ql.w2, lane), ql.w2, &mmStats,
-        lane);
-    addBias(out, w.b2);
-    Tensor res2 = add(out, res1);
-    layerNormRows(res2);
-    return res2;
-}
-
-Tensor
 QuantizedTransformer::fusedLayerStep(
     size_t l, const Tensor &x, QuantizedTensor &qx, bool haveQx,
     bool emitNext, const std::vector<size_t> &starts, bool calib,
@@ -538,7 +356,7 @@ QuantizedTransformer::fusedLayerStep(
             // whole-graph path later layers receive their planes from
             // the previous w2 GEMM instead; both routes produce the
             // same bits (the fused-emission contract).
-            qx = encodeActForSite(*lp.dx, x, eq, lane);
+            qx = encodeAct(*lp.dx, x, eq, lane);
         }
 
         // QKV: heads are gathered in float, so these three fuse the
@@ -564,12 +382,18 @@ QuantizedTransformer::fusedLayerStep(
         const Tensor &k = ko.dense;
         const Tensor &v = vo.dense;
 
-        // Attention, one job per (sequence, head) as in the unfused
-        // path; the score GEMM fuses scale + softmax + the
-        // probability re-quantization into its band walk, so the
-        // score matrix never exists as a standalone float tensor.
+        // Attention, one job per (sequence, head): it never crosses a
+        // sequence boundary, and every job writes a disjoint block of
+        // ctx. The score GEMM fuses scale + softmax + the probability
+        // re-quantization into its band walk, so the score matrix
+        // never exists as a standalone float tensor. act x act GEMMs
+        // have K = seq, so no hoisted constants; under Auto both
+        // sides start cold and encode to byte planes.
         Tensor ctx(total, cfg.hidden);
         const float inv_sqrt = lp.invSqrtHd;
+        const IndexEngine ep = indexEngine() == IndexEngine::Auto
+            ? IndexEngine::Count
+            : indexEngine();
         parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
             const size_t b = job / cfg.heads;
             const size_t h = job % cfg.heads;
@@ -583,16 +407,8 @@ QuantizedTransformer::fusedLayerStep(
                     vht.at(c, r) = v.at(r0 + r, h * hd + c);
                 }
             }
-            // act x act GEMMs: K varies with seq, so no hoisted
-            // constants; engines resolve exactly as the unfused
-            // path's resolveIndexEngine() calls do.
-            const QuantizedTensor qqh =
-                encodeActDict(*lp.dq, qh, nullptr, lane);
-            const QuantizedTensor qkh =
-                encodeActDict(*lp.dk, kh, nullptr, lane);
-            const IndexEngine ep = indexEngine() == IndexEngine::Auto
-                ? IndexEngine::Count
-                : indexEngine();
+            const QuantizedTensor qqh = encodeAct(*lp.dq, qh, ep, lane);
+            const QuantizedTensor qkh = encodeAct(*lp.dk, kh, ep, lane);
             FusedGemmOut sc = indexMatmulTransBFused(
                 qqh, qkh, resolveIndexEngine(qqh, qkh),
                 [inv_sqrt](size_t, float *vals, size_t n) {
@@ -601,9 +417,9 @@ QuantizedTransformer::fusedLayerStep(
                 },
                 lp.dp, enginePlaneSet(ep), false, nullptr, &mmStats,
                 lane);
-            countFusedAct(sc.planes);
+            countAct(sc.planes);
             const QuantizedTensor qvht =
-                encodeActDict(*lp.dv, vht, nullptr, lane);
+                encodeAct(*lp.dv, vht, ep, lane);
             const FusedGemmOut out = indexMatmulTransBFused(
                 sc.planes, qvht, resolveIndexEngine(sc.planes, qvht),
                 nullptr, nullptr, PlaneSet::Bytes, true, nullptr,
@@ -617,8 +433,7 @@ QuantizedTransformer::fusedLayerStep(
         // straight as the w1 GEMM's mid_in planes (and kept dense
         // for the second residual).
         const IndexEngine ewo = siteEngine(so, total, iter, calib);
-        const QuantizedTensor qctx =
-            encodeActForSite(*lp.dctx, ctx, ewo, lane);
+        const QuantizedTensor qctx = encodeAct(*lp.dctx, ctx, ewo, lane);
         const IndexEngine ew1 = siteEngine(s1, total, iter, calib);
         const Tensor &res_in = x;
         FusedGemmOut r1 = runSite(
@@ -629,7 +444,7 @@ QuantizedTransformer::fusedLayerStep(
                 layerNormRow(vals, n);
             },
             lp.dmidIn, enginePlaneSet(ew1), true, calib, lane);
-        countFusedAct(r1.planes);
+        countAct(r1.planes);
 
         // w1: bias + GELU fused, planes-only output — the mid float
         // tensor is gone entirely on this path.
@@ -641,7 +456,7 @@ QuantizedTransformer::fusedLayerStep(
                 geluRow(vals, n);
             },
             lp.dmid, enginePlaneSet(ew2), false, calib, lane);
-        countFusedAct(rm.planes);
+        countAct(rm.planes);
 
         // w2: bias + residual + layer-norm fused; when the caller
         // continues plane-to-plane (whole-graph walk, any layer but
@@ -663,7 +478,7 @@ QuantizedTransformer::fusedLayerStep(
             },
             next_dx, enginePlaneSet(enx), true, calib, lane);
         if (emitNext)
-            countFusedAct(r2.planes);
+            countAct(r2.planes);
         qx = std::move(r2.planes);
         return std::move(r2.dense);
     }
@@ -728,16 +543,13 @@ QuantizedTransformer::forwardStep(size_t layer,
     MOKEY_ASSERT(!actDicts.empty(),
                  "profileActivations() must run before full "
                  "quantized inference");
-    if (graphFuse() && graphPlan) {
-        // Step-wise calls never advance calibration: the timed
-        // iterations are whole-graph passes, and a step's membership
-        // can change between layers, which would skew the profile.
-        QuantizedTensor qx;
-        return fusedLayerStep(layer, stacked, qx, /*haveQx=*/false,
-                              /*emitNext=*/false, starts,
-                              /*calib=*/false, /*iter=*/0, lane);
-    }
-    return forwardLayerQuantized(layer, stacked, starts, lane);
+    // Step-wise calls never advance calibration: the timed iterations
+    // are whole-graph passes, and a step's membership can change
+    // between layers, which would skew the profile.
+    QuantizedTensor qx;
+    return fusedLayerStep(layer, stacked, qx, /*haveQx=*/false,
+                          /*emitNext=*/false, starts, /*calib=*/false,
+                          /*iter=*/0, lane);
 }
 
 Tensor
@@ -752,13 +564,7 @@ QuantizedTransformer::forward(const Tensor &input, QuantMode mode,
     MOKEY_ASSERT(!actDicts.empty(),
                  "profileActivations() must run before full "
                  "quantized inference");
-    const std::vector<size_t> starts{0, input.rows()};
-    if (graphFuse() && graphPlan)
-        return forwardGraphFused(input, starts, lane);
-    Tensor x = input;
-    for (size_t l = 0; l < model.config().layers; ++l)
-        x = forwardLayerQuantized(l, x, starts, lane);
-    return x;
+    return forwardGraphFused(input, {0, input.rows()}, lane);
 }
 
 std::vector<Tensor>
@@ -779,12 +585,7 @@ QuantizedTransformer::forwardBatch(const std::vector<Tensor> &inputs,
         inputs,
         [this, lane](const Tensor &stacked,
                      const std::vector<size_t> &starts) {
-            if (graphFuse() && graphPlan)
-                return forwardGraphFused(stacked, starts, lane);
-            Tensor x = stacked;
-            for (size_t l = 0; l < model.config().layers; ++l)
-                x = forwardLayerQuantized(l, x, starts, lane);
-            return x;
+            return forwardGraphFused(stacked, starts, lane);
         });
 }
 

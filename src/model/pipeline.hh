@@ -39,35 +39,18 @@ enum class QuantMode
 };
 
 /**
- * Whether activation re-quantization uses the fused single-pass
- * encodeToPlanes() path (the default) or the seed two-pass
- * encode() + derivePlanes path. Process-wide, initialized from
- * MOKEY_FUSED_ENCODE (unset/1/on -> fused; 0/off -> seed path).
- * Outputs are bit-identical either way — the knob exists for parity
- * tests, benchmarking, and as a rollback lever.
- */
-bool fusedActEncode();
-
-/** Flip the activation-encode path (tests restore the prior value). */
-void setFusedActEncode(bool fused);
-
-/**
- * Whether the fully-quantized forward pass runs plane-to-plane layer-
- * graph fusion (the default) or the seed layer-at-a-time sequence.
- * Fused: every weight-site GEMM chains its epilogue (bias, residual,
+ * The fully quantized forward pass is the plane-to-plane fused graph
+ * walk: every weight-site GEMM chains its epilogue (bias, residual,
  * norm, GELU, attention scale+softmax) and the next consumer's
- * activation quantization into the GEMM's own row-band walk, reads
- * the planes' precomputed fold sums, and uses the GraphPlan's hoisted
- * per-site constants — no intermediate float tensor or per-call
- * re-fold between chained GEMMs. Process-wide, initialized from
- * MOKEY_GRAPH_FUSE (unset/1/on -> fused; 0/off -> layer-at-a-time).
- * Outputs are bit-identical either way — the knob is the rollback
- * lever and what the parity tests and the fusion benchmark flip.
+ * activation quantization into the GEMM's own row-band walk, and
+ * activations are encoded straight into the planes the GEMM streams
+ * (Quantizer::encodeToPlanes). There is no other path; these two
+ * accessors report that for configuration banners.
  */
-bool graphFuse();
+inline bool graphFuse() { return true; }
 
-/** Flip the graph-fusion path (tests restore the prior value). */
-void setGraphFuse(bool fused);
+/** See graphFuse(): activation encode is always the fused path. */
+inline bool fusedActEncode() { return true; }
 
 /**
  * Aggregate quantization statistics for reporting. The embedded
@@ -95,6 +78,15 @@ class QuantizedTransformer
                          const Quantizer &quantizer,
                          const TensorDictConfig &cfg = {});
 
+    /** The pipeline keeps references to @p model and @p quantizer:
+     *  a temporary would dangle as soon as the constructor returned. */
+    QuantizedTransformer(const Transformer &&model,
+                         const Quantizer &quantizer,
+                         const TensorDictConfig &cfg = {}) = delete;
+    QuantizedTransformer(const Transformer &model,
+                         const Quantizer &&quantizer,
+                         const TensorDictConfig &cfg = {}) = delete;
+
     /** Step 1: encode every weight matrix (offline). */
     void quantizeWeights();
 
@@ -120,10 +112,9 @@ class QuantizedTransformer
 
     /**
      * Batched forward over several (possibly ragged-length)
-     * sequences: activations of the whole batch are re-quantized
-     * batch-at-once through the batched encode(), every row-space
-     * GEMM runs on the stacked B x T rows (one weight-side
-     * CodePlanes derivation per GEMM), and attention heads of all
+     * sequences: the fused graph walk runs once over the stacked
+     * B x T rows, so every activation encode and weight-site GEMM
+     * covers the whole batch in one call, and attention heads of all
      * requests fan out over the pool together. Each output is
      * bit-identical to forward() on that sequence alone. The pass
      * runs on @p lane, so independent micro-batches dispatched on
@@ -150,9 +141,9 @@ class QuantizedTransformer
      * Composition contract: chaining forwardStep over layers
      * 0..stepCount()-1, with any re-stacking of co-batched rows
      * between steps, is bit-identical to forward()/forwardBatch() on
-     * the same sequences. On the fused path the step re-encodes the
-     * carried float rows against the layer's activation dictionary;
-     * the fused GEMM contract (emitted planes == encodeToPlanes of
+     * the same sequences. The step re-encodes the carried float rows
+     * against the layer's activation dictionary; the fused GEMM
+     * contract (emitted planes == encodeToPlanes of
      * the dense epilogue output) makes that re-encode exact.
      * Engine self-calibration never advances on this path — only
      * whole-graph passes are timed.
@@ -213,66 +204,38 @@ class QuantizedTransformer
     mutable std::atomic<uint64_t> actOtCodes{0};
     mutable std::atomic<uint64_t> actTotalCodes{0};
     /**
-     * Hoisted execution plan of the fused forward path; rebuilt by
-     * quantizeWeights()/profileActivations() once both halves exist.
-     * Mutable because calibration state (timings, pins, iteration)
-     * advances inside const forward passes.
+     * Hoisted execution plan of the fused forward walk; rebuilt by
+     * quantizeWeights()/profileActivations() once both halves exist,
+     * so it is non-null whenever ready() holds. Mutable because
+     * calibration state (timings, pins, iteration) advances inside
+     * const forward passes.
      */
     mutable std::unique_ptr<GraphPlan> graphPlan;
 
     /**
-     * One quantized encoder layer over a stacked row space; @p starts
-     * holds B+1 row offsets delimiting the sequences. forward() is
-     * the B=1 case.
+     * Encode an activation against @p dict straight into the planes
+     * engine @p e streams (encodeToPlanes), folding it into the
+     * outlier-rate counters.
      */
-    Tensor forwardLayerQuantized(size_t l, const Tensor &input,
-                                 const std::vector<size_t> &starts,
-                                 Lane lane) const;
-
-    /**
-     * Encode an activation against its profiled dictionary, folding
-     * it into the outlier-rate counters. On the fused path the
-     * planes the downstream GEMM streams are emitted directly
-     * (encodeToPlanes); @p partner is that GEMM's other operand —
-     * the weight tensor whose plane residency the Auto engine
-     * heuristic consults — or nullptr for activation x activation
-     * GEMMs (attention), which always resolve to byte planes under
-     * Auto because both sides start cold.
-     */
-    QuantizedTensor encodeAct(const TensorId &id, const Tensor &t,
-                              const QuantizedTensor *partner,
+    QuantizedTensor encodeAct(const TensorDictionary &dict,
+                              const Tensor &t, IndexEngine e,
                               Lane lane) const;
 
-    /** encodeAct() for a pre-resolved dictionary (attention inner
-     * loops, where the map lookup would run once per head job). */
-    QuantizedTensor encodeActDict(const TensorDictionary &dict,
-                                  const Tensor &t,
-                                  const QuantizedTensor *partner,
-                                  Lane lane) const;
-
-    /** Fold a quantized activation into the outlier-rate counters. */
-    QuantizedTensor countActCodes(QuantizedTensor q) const;
+    /** Fold an encoded activation's outlier sidecar into the
+     *  outlier-rate counters. */
+    void countAct(const QuantizedTensor &q) const;
 
     /** Rebuild the fused-path GraphPlan (no-op until ready()). */
     void rebuildGraphPlan();
 
     /**
-     * The fused-path engine decision for one weight site: the fixed
-     * process engine, the site's calibration pin, a forced profiling
-     * engine during the two calibration iterations, or the same Auto
-     * decision table the layer-at-a-time path resolves through.
+     * The engine decision for one weight site: the fixed process
+     * engine, the site's calibration pin, a forced profiling engine
+     * during the two calibration iterations, or the Auto decision
+     * table applied to the site's shape and weight-plane residency.
      */
     IndexEngine siteEngine(const SitePlan &site, size_t aRows,
                            uint64_t iter, bool calibrating) const;
-
-    /** encodeActDict() with the engine pre-resolved per site (so a
-     * calibration pin controls which planes are emitted). */
-    QuantizedTensor encodeActForSite(const TensorDictionary &dict,
-                                     const Tensor &t, IndexEngine e,
-                                     Lane lane) const;
-
-    /** Fold a fused-GEMM-encoded activation into the counters. */
-    void countFusedAct(const QuantizedTensor &q) const;
 
     /** Run one weight site's fused GEMM (timed while calibrating). */
     FusedGemmOut runSite(SitePlan &site, const QuantizedTensor &act,

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -464,9 +463,10 @@ engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     // scalar terms of the reconstruction. The seed's SoA2 + b*PoM2
     // is exactly the mag-plane row sum:
     //   sum th (a^i) + b sum th  =  sum th (a^i + b).
-    // Folded per call on purpose — this layer-at-a-time path is the
-    // frozen baseline the fused graph walk (which reads the planes'
-    // precomputed magRowSum) is benchmarked against; the shared
+    // Folded per call on purpose: this unfused entry point is what the
+    // frozen layer-at-a-time replica in tests/reference/ runs, and the
+    // fused graph walk (which reads the planes' precomputed
+    // magRowSum) is tested and benchmarked against it; the shared
     // helper guarantees the arithmetic order matches bit for bit.
     std::vector<double> row_term(m), col_term(n);
     const auto fold = [k](const CodePlanes &p, size_t r) {
@@ -621,8 +621,9 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
 
     // Pairing-independent row/column terms from the per-row signed
     // index histogram: sum theta (a^i + b) = sum_i h[i] * mags[i].
-    // Per-call folds for the same reason as the mag engine: this is
-    // the frozen baseline; the fused walk reads byteRowSum instead.
+    // Per-call folds for the same reason as the mag engine: the
+    // replica in tests/reference/ runs this path; the fused walk
+    // reads byteRowSum instead.
     std::vector<double> row_term(m), col_term(n);
     const auto fold = [&cc, k](const CodePlanes &p, size_t r) {
         return bytePlaneRowSum(p.indexRow(r), p.thetaRow(r), k,
@@ -687,7 +688,6 @@ Tensor
 indexMatmulTransB(const QuantizedTensor &a, const QuantizedTensor &wt,
                   IndexMatmulStats *stats, Lane lane)
 {
-    faultPoint(FaultSite::EngineDispatch);
     if (resolveIndexEngine(a, wt) == IndexEngine::Count)
         return countingMatmul(a, wt, stats, true, lane);
     return engineMatmul(a, wt, stats, true, lane);
@@ -709,14 +709,6 @@ indexMatmulTransBMag(const QuantizedTensor &a,
                      IndexMatmulStats *stats, Lane lane)
 {
     return engineMatmul(a, wt, stats, true, lane);
-}
-
-Tensor
-indexMatmulTransBMagScalar(const QuantizedTensor &a,
-                           const QuantizedTensor &wt,
-                           IndexMatmulStats *stats)
-{
-    return engineMatmul(a, wt, stats, false);
 }
 
 Tensor
@@ -858,8 +850,8 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                              : buf.data() + (i - lo) * n;
         };
         // Identical tiled engine loops (and identical noinline dot
-        // kernels) to the layer-at-a-time path — only the source of
-        // the row/column terms differs, and those are bit-equal.
+        // kernels) to indexMatmulTransB() — only the source of the
+        // row/column terms differs, and those are bit-equal.
         for (size_t jb = 0; jb < n; jb += kTileN) {
             const size_t jhi = std::min(jb + kTileN, n);
             for (size_t i = lo; i < hi; ++i) {

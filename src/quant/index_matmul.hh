@@ -277,11 +277,6 @@ Tensor indexMatmulTransBScalar(const QuantizedTensor &a,
                                const QuantizedTensor &wt,
                                IndexMatmulStats *stats = nullptr);
 
-/** Magnitude-engine scalar path (bit-parity pin for Mag). */
-Tensor indexMatmulTransBMagScalar(const QuantizedTensor &a,
-                                  const QuantizedTensor &wt,
-                                  IndexMatmulStats *stats = nullptr);
-
 /**
  * The seed scalar algorithm — one indexDot() per output element,
  * branching per code pair. Kept as the algebra reference the engine

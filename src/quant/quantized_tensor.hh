@@ -150,8 +150,8 @@ struct CodePlanes
      *
      * Every plane builder fills them (derivation, the fused
      * activation encoder, the fused GEMM epilogue), so for pinned
-     * weights the per-column GEMM fold — O(N*K) per call in the
-     * layer-at-a-time path — collapses to one array read.
+     * weights the per-column GEMM fold — O(N*K) per call in
+     * indexMatmulTransB() — collapses to one array read.
      */
     std::vector<double> magRowSum;
     std::vector<double> byteRowSum;
@@ -192,7 +192,8 @@ struct CodePlanes
  * of one mag-plane row (outlier slots hold 0.0 and vanish). Kept as
  * a plain serial loop on purpose — the precomputed CodePlanes row
  * sums and the per-call GEMM folds must share one arithmetic order
- * for the fused and layer-at-a-time paths to stay bit-identical.
+ * for indexMatmulTransBFused() and indexMatmulTransB() to stay
+ * bit-identical.
  */
 double magPlaneRowSum(const double *mg, size_t n);
 

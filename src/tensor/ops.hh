@@ -31,8 +31,9 @@ Tensor matmulTransB(const Tensor &a, const Tensor &b, Lane lane = {});
 // Single-row kernels: the per-row bodies of the whole-tensor ops
 // below, exposed so the fused GEMM epilogues (model/pipeline) apply
 // them to one band-resident row at a time with arithmetic identical
-// to the layer-at-a-time path — bit-parity between the two forward
-// paths reduces to "same kernel, same row".
+// to the whole-tensor ops — bit-parity between the fused walk and the
+// layer-at-a-time replica (tests/reference/) reduces to "same kernel,
+// same row".
 
 /** One row of addBias(): row[c] += bias[c]. */
 void addBiasRow(float *row, const float *bias, size_t n);

@@ -9,12 +9,12 @@
 
 #include <algorithm>
 #include <thread>
-#include <tuple>
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
 #include "model/config.hh"
 #include "model/pipeline.hh"
+#include "reference/layer_at_a_time.hh"
 #include "tensor/ops.hh"
 #include "test_util.hh"
 
@@ -149,92 +149,35 @@ TEST_F(ServingFixture, EngineSelectorForwardBitIdenticalBothModes)
     }
 }
 
-TEST_F(ServingFixture, FusedEncodeForwardBitIdenticalToUnfused)
+TEST_F(ServingFixture, ActivationCountersMatchLayerAtATime)
 {
-    // The fused single-pass activation quantizer is a perf
-    // optimization, never a numerics change: forward and
-    // forwardBatch outputs must match the seed encode()+derivePlanes
-    // path bit-for-bit across engines x QuantModes x thread counts x
-    // lanes.
-    const auto inputs = raggedInputs();
-    const Tensor in = model.makeInput(10, 321);
-    const EngineGuard engine_guard;
-    const ThreadCountGuard thread_guard;
-    const FusedEncodeGuard fused_guard;
-    const size_t hw = std::max<size_t>(
-        1, std::thread::hardware_concurrency());
-
-    for (const IndexEngine engine :
-         {IndexEngine::Mag, IndexEngine::Count,
-          IndexEngine::Auto}) {
-        setIndexEngine(engine);
-        for (const QuantMode mode :
-             {QuantMode::WeightsOnly,
-              QuantMode::WeightsAndActivations}) {
-            setFusedActEncode(false);
-            setThreadCount(1);
-            const Tensor ref = pipeline.forward(in, mode);
-            std::vector<Tensor> brefs;
-            for (const Tensor &bin : inputs)
-                brefs.push_back(pipeline.forward(bin, mode));
-
-            setFusedActEncode(true);
-            for (const size_t t : {size_t{1}, size_t{2}, hw}) {
-                setThreadCount(t);
-                for (const Lane lane : {Lane{}, Lane::acquire()}) {
-                    expectBitIdentical(
-                        ref, pipeline.forward(in, mode, lane),
-                        std::string("fused engine=") +
-                            indexEngineName(engine) + " mode=" +
-                            std::to_string(static_cast<int>(mode)) +
-                            " threads=" + std::to_string(t));
-                }
-                const auto outs =
-                    pipeline.forwardBatch(inputs, mode);
-                ASSERT_EQ(outs.size(), inputs.size());
-                for (size_t i = 0; i < outs.size(); ++i)
-                    expectBitIdentical(
-                        brefs[i], outs[i],
-                        std::string("fused batch engine=") +
-                            indexEngineName(engine) +
-                            " threads=" + std::to_string(t) +
-                            " req=" + std::to_string(i));
-            }
-        }
-    }
-}
-
-TEST_F(ServingFixture, FusedEncodeCountersMatchUnfused)
-{
-    // The fused path feeds the activation outlier-rate counters from
-    // the sidecar instead of a code walk; starting two fresh
-    // pipelines from zero and running the same workload down each
-    // path must land on the exact same cumulative fraction — and the
-    // GEMM pair-routing stats must match too.
-    const FusedEncodeGuard fused_guard;
+    // The fused walk feeds the activation outlier-rate counters from
+    // the sidecars of the planes it encodes or emits, never from a
+    // code walk; starting a fresh pipeline from zero, its cumulative
+    // fraction must land exactly on the layer-at-a-time replica's own
+    // tally over the same workload — and the GEMM pair-routing stats
+    // must match too.
     std::vector<Tensor> batch;
     for (int i = 0; i < 2; ++i)
         batch.push_back(model.makeInput(12, 300 + i));
     const Tensor in = model.makeInput(8, 333);
 
-    auto run = [&](bool fused) {
-        setFusedActEncode(fused);
-        QuantizedTransformer p(model, quantizer);
-        p.quantizeWeights();
-        p.profileActivations(batch);
-        p.forward(in, QuantMode::WeightsAndActivations);
-        p.forwardBatch(batch, QuantMode::WeightsAndActivations);
-        return std::tuple<double, uint64_t, uint64_t>(
-            p.activationOutlierFraction(),
-            p.matmulStats().gaussianPairs.load(),
-            p.matmulStats().outlierPairs.load());
-    };
-    const auto unfused = run(false);
-    const auto fused = run(true);
-    EXPECT_DOUBLE_EQ(std::get<0>(fused), std::get<0>(unfused));
-    EXPECT_GT(std::get<0>(fused), 0.0);
-    EXPECT_EQ(std::get<1>(fused), std::get<1>(unfused));
-    EXPECT_EQ(std::get<2>(fused), std::get<2>(unfused));
+    QuantizedTransformer p(model, quantizer);
+    p.quantizeWeights();
+    p.profileActivations(batch);
+    const reference::LayerAtATime replica(model, quantizer, p);
+    p.forward(in, QuantMode::WeightsAndActivations);
+    p.forwardBatch(batch, QuantMode::WeightsAndActivations);
+    replica.forward(in);
+    replica.forwardBatch(batch);
+
+    EXPECT_GT(p.activationOutlierFraction(), 0.0);
+    EXPECT_EQ(p.activationOutlierFraction(),
+              replica.activationOutlierFraction());
+    EXPECT_EQ(p.matmulStats().gaussianPairs.load(),
+              replica.matmulStats().gaussianPairs.load());
+    EXPECT_EQ(p.matmulStats().outlierPairs.load(),
+              replica.matmulStats().outlierPairs.load());
 }
 
 TEST_F(ServingFixture, SingleSequenceBatchMatchesForward)

@@ -14,7 +14,6 @@
 
 #include "common/fault.hh"
 #include "common/parallel.hh"
-#include "model/pipeline.hh"
 #include "quant/engine.hh"
 
 namespace mokey
@@ -32,20 +31,6 @@ struct EngineGuard
 {
     IndexEngine prior = indexEngine();
     ~EngineGuard() { setIndexEngine(prior); }
-};
-
-/** Restores the activation-encode path selection likewise. */
-struct FusedEncodeGuard
-{
-    bool prior = fusedActEncode();
-    ~FusedEncodeGuard() { setFusedActEncode(prior); }
-};
-
-/** Restores the graph-fusion path selection likewise. */
-struct GraphFuseGuard
-{
-    bool prior = graphFuse();
-    ~GraphFuseGuard() { setGraphFuse(prior); }
 };
 
 /** Restores the engine self-calibration flag likewise. */
