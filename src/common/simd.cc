@@ -49,22 +49,6 @@ dotDD(const double *x, const double *y, size_t n)
 }
 
 MOKEY_SIMD_CLONES double
-sumD(const double *x, size_t n)
-{
-    double acc[16] = {};
-    size_t p = 0;
-    for (; p + 16 <= n; p += 16)
-        for (size_t l = 0; l < 16; ++l)
-            acc[l] += x[p + l];
-    for (; p < n; ++p)
-        acc[p % 16] += x[p];
-    double sum = 0.0;
-    for (size_t l = 0; l < 16; ++l)
-        sum += acc[l];
-    return sum;
-}
-
-MOKEY_SIMD_CLONES double
 dotFD(const float *x, const float *y, size_t n)
 {
     double acc[16] = {};

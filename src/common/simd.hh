@@ -26,15 +26,6 @@ namespace mokey
 /** Sum of x[i]*y[i] over doubles, 16-lane fixed-tree reduction. */
 double dotDD(const double *x, const double *y, size_t n);
 
-/**
- * Streaming sum of @p n doubles, 16-lane fixed-tree reduction. One
- * load + one add per element — the closest a kernel gets to pure
- * read bandwidth, which is what the engine-calibration probe
- * (calibrateMagBudget) times across working-set sizes to locate the
- * host's cache cliff.
- */
-double sumD(const double *x, size_t n);
-
 /** Sum of x[i]*y[i] over floats, accumulated in double. */
 double dotFD(const float *x, const float *y, size_t n);
 

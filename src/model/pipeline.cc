@@ -1,7 +1,6 @@
 #include "model/pipeline.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 
 #include "common/fault.hh"
@@ -11,26 +10,6 @@
 
 namespace mokey
 {
-
-const char *
-graphSiteName(size_t site)
-{
-    switch (site) {
-    case kSiteWq:
-        return "wq";
-    case kSiteWk:
-        return "wk";
-    case kSiteWv:
-        return "wv";
-    case kSiteWo:
-        return "wo";
-    case kSiteW1:
-        return "w1";
-    case kSiteW2:
-        return "w2";
-    }
-    return "?";
-}
 
 QuantizedTransformer::QuantizedTransformer(const Transformer &m,
                                            const Quantizer &q,
@@ -194,294 +173,183 @@ QuantizedTransformer::countAct(const QuantizedTensor &q) const
 }
 
 IndexEngine
-QuantizedTransformer::siteEngine(const SitePlan &site, size_t aRows,
-                                 uint64_t iter, bool calibrating) const
+QuantizedTransformer::siteEngine(const SitePlan &site,
+                                 size_t aRows) const
 {
     const IndexEngine e = indexEngine();
     if (e != IndexEngine::Auto)
         return e;
-    const int pin = site.pinned.load(std::memory_order_relaxed);
-    if (pin >= 0)
-        return static_cast<IndexEngine>(pin);
-    if (calibrating && iter < 2)
-        return iter == 0 ? IndexEngine::Mag : IndexEngine::Count;
-    // Calibration off (or still warming): the pure decision table,
-    // with the inputs resolveIndexEngine() reads for a GEMM of this
-    // shape.
+    // The pure decision table, with the inputs resolveIndexEngine()
+    // reads for a GEMM of this shape.
     return autoEngineChoice(aRows, site.weight->rows(),
                             site.constants.k,
                             site.weight->planesFootprint());
 }
 
 FusedGemmOut
-QuantizedTransformer::runSite(SitePlan &site,
+QuantizedTransformer::runSite(const SitePlan &site,
                               const QuantizedTensor &act,
                               IndexEngine e, const FusedRowEpilogue &epi,
                               const TensorDictionary *outDict,
                               PlaneSet outSets, bool keepDense,
-                              bool calibrating, Lane lane) const
+                              Lane lane) const
 {
     // The engine-dispatch fault seam. Sits on the caller's thread,
     // before any parallelFor fan-out, so an injected throw unwinds to
     // the scheduler instead of a worker.
     faultPoint(FaultSite::EngineDispatch);
-    if (!calibrating ||
-        site.pinned.load(std::memory_order_relaxed) >= 0)
-        return indexMatmulTransBFused(act, *site.weight, e, epi,
-                                      outDict, outSets, keepDense,
-                                      &site.constants, &mmStats, lane);
-
-    // Profiling iteration: keep one-time plane derivation out of the
-    // timed region so the sample reflects steady-state streaming,
-    // not the first-use build the forced engine may trigger.
-    site.weight->planesShared(enginePlaneSet(e));
-    act.planesShared(enginePlaneSet(e));
-    const auto t0 = std::chrono::steady_clock::now();
-    FusedGemmOut out = indexMatmulTransBFused(
-        act, *site.weight, e, epi, outDict, outSets, keepDense,
-        &site.constants, &mmStats, lane);
-    const int64_t ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (e == IndexEngine::Mag) {
-        site.magNs.fetch_add(ns, std::memory_order_relaxed);
-        site.magRuns.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        site.countNs.fetch_add(ns, std::memory_order_relaxed);
-        site.countRuns.fetch_add(1, std::memory_order_relaxed);
-    }
-    return out;
-}
-
-void
-QuantizedTransformer::finalizeEnginePins() const
-{
-    for (LayerPlan &lp : graphPlan->layers) {
-        for (SitePlan &s : lp.sites) {
-            if (s.pinned.load(std::memory_order_relaxed) >= 0)
-                continue;
-            const uint64_t mr =
-                s.magRuns.load(std::memory_order_relaxed);
-            const uint64_t cr =
-                s.countRuns.load(std::memory_order_relaxed);
-            if (mr == 0 || cr == 0)
-                continue; // never saw both engines: stay undecided
-            const double mag_ns = static_cast<double>(
-                s.magNs.load(std::memory_order_relaxed)) / mr;
-            const double cnt_ns = static_cast<double>(
-                s.countNs.load(std::memory_order_relaxed)) / cr;
-            s.pinned.store(static_cast<int>(mag_ns <= cnt_ns
-                                                ? IndexEngine::Mag
-                                                : IndexEngine::Count),
-                           std::memory_order_relaxed);
-        }
-    }
-}
-
-std::vector<EnginePin>
-QuantizedTransformer::enginePins() const
-{
-    std::vector<EnginePin> pins;
-    if (!graphPlan)
-        return pins;
-    for (size_t l = 0; l < graphPlan->layers.size(); ++l) {
-        const LayerPlan &lp = graphPlan->layers[l];
-        for (size_t s = 0; s < kGraphSiteCount; ++s) {
-            const int pin =
-                lp.sites[s].pinned.load(std::memory_order_relaxed);
-            EnginePin p;
-            p.layer = l;
-            p.site = graphSiteName(s);
-            p.pinned = pin >= 0;
-            p.engine = pin >= 0 ? static_cast<IndexEngine>(pin)
-                                : indexEngine();
-            pins.push_back(std::move(p));
-        }
-    }
-    return pins;
-}
-
-void
-QuantizedTransformer::pinEngines(const std::vector<EnginePin> &pins) const
-{
-    MOKEY_ASSERT(graphPlan,
-                 "pinEngines() before the graph plan exists (run "
-                 "quantizeWeights + profileActivations first)");
-    for (const EnginePin &p : pins) {
-        MOKEY_ASSERT(p.engine != IndexEngine::Auto,
-                     "cannot pin a site to Auto");
-        MOKEY_ASSERT(p.layer < graphPlan->layers.size(),
-                     "pin for layer %zu of a %zu-layer graph",
-                     p.layer, graphPlan->layers.size());
-        LayerPlan &lp = graphPlan->layers[p.layer];
-        bool matched = false;
-        for (size_t s = 0; s < kGraphSiteCount; ++s) {
-            if (p.site == graphSiteName(s)) {
-                lp.sites[s].pinned.store(
-                    static_cast<int>(p.engine),
-                    std::memory_order_relaxed);
-                matched = true;
-            }
-        }
-        MOKEY_ASSERT(matched, "unknown graph site '%s'",
-                     p.site.c_str());
-    }
+    return indexMatmulTransBFused(act, *site.weight, e, epi, outDict,
+                                  outSets, keepDense, &site.constants,
+                                  &mmStats, lane);
 }
 
 Tensor
 QuantizedTransformer::fusedLayerStep(
     size_t l, const Tensor &x, QuantizedTensor &qx, bool haveQx,
-    bool emitNext, const std::vector<size_t> &starts, bool calib,
-    uint64_t iter, Lane lane) const
+    bool emitNext, const std::vector<size_t> &starts, Lane lane) const
 {
-    GraphPlan &plan = *graphPlan;
+    const GraphPlan &plan = *graphPlan;
     const ModelConfig &cfg = model.config();
     const size_t total = x.rows();
     const size_t hd = cfg.headDim();
     const size_t batch = starts.size() - 1;
-    {
-        LayerPlan &lp = plan.layers[l];
-        SitePlan &sq = lp.sites[kSiteWq];
-        SitePlan &sk = lp.sites[kSiteWk];
-        SitePlan &sv = lp.sites[kSiteWv];
-        SitePlan &so = lp.sites[kSiteWo];
-        SitePlan &s1 = lp.sites[kSiteW1];
-        SitePlan &s2 = lp.sites[kSiteW2];
+    const LayerPlan &lp = plan.layers[l];
+    const SitePlan &sq = lp.sites[kSiteWq];
+    const SitePlan &sk = lp.sites[kSiteWk];
+    const SitePlan &sv = lp.sites[kSiteWv];
+    const SitePlan &so = lp.sites[kSiteWo];
+    const SitePlan &s1 = lp.sites[kSiteW1];
+    const SitePlan &s2 = lp.sites[kSiteW2];
 
-        const IndexEngine eq = siteEngine(sq, total, iter, calib);
-        if (!haveQx) {
-            // Whole-graph entry (layer 0) and every step-wise call:
-            // encode the float rows as this layer's x planes. On the
-            // whole-graph path later layers receive their planes from
-            // the previous w2 GEMM instead; both routes produce the
-            // same bits (the fused-emission contract).
-            qx = encodeAct(*lp.dx, x, eq, lane);
-        }
-
-        // QKV: heads are gathered in float, so these three fuse the
-        // bias epilogue and read the hoisted constants/fold sums but
-        // keep dense outputs.
-        const auto bias_epi = [](const SitePlan &s) {
-            return FusedRowEpilogue(
-                [&s](size_t, float *vals, size_t n) {
-                    addBiasRow(vals, s.bias->data(), n);
-                });
-        };
-        FusedGemmOut qo = runSite(sq, qx, eq, bias_epi(sq), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        FusedGemmOut ko = runSite(sk, qx,
-                                  siteEngine(sk, total, iter, calib),
-                                  bias_epi(sk), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        FusedGemmOut vo = runSite(sv, qx,
-                                  siteEngine(sv, total, iter, calib),
-                                  bias_epi(sv), nullptr,
-                                  PlaneSet::Bytes, true, calib, lane);
-        const Tensor &q = qo.dense;
-        const Tensor &k = ko.dense;
-        const Tensor &v = vo.dense;
-
-        // Attention, one job per (sequence, head): it never crosses a
-        // sequence boundary, and every job writes a disjoint block of
-        // ctx. The score GEMM fuses scale + softmax + the probability
-        // re-quantization into its band walk, so the score matrix
-        // never exists as a standalone float tensor. act x act GEMMs
-        // have K = seq, so no hoisted constants; under Auto both
-        // sides start cold and encode to byte planes.
-        Tensor ctx(total, cfg.hidden);
-        const float inv_sqrt = lp.invSqrtHd;
-        const IndexEngine ep = indexEngine() == IndexEngine::Auto
-            ? IndexEngine::Count
-            : indexEngine();
-        parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
-            const size_t b = job / cfg.heads;
-            const size_t h = job % cfg.heads;
-            const size_t r0 = starts[b];
-            const size_t seq = starts[b + 1] - r0;
-            Tensor qh(seq, hd), kh(seq, hd), vht(hd, seq);
-            for (size_t r = 0; r < seq; ++r) {
-                for (size_t c = 0; c < hd; ++c) {
-                    qh.at(r, c) = q.at(r0 + r, h * hd + c);
-                    kh.at(r, c) = k.at(r0 + r, h * hd + c);
-                    vht.at(c, r) = v.at(r0 + r, h * hd + c);
-                }
-            }
-            const QuantizedTensor qqh = encodeAct(*lp.dq, qh, ep, lane);
-            const QuantizedTensor qkh = encodeAct(*lp.dk, kh, ep, lane);
-            FusedGemmOut sc = indexMatmulTransBFused(
-                qqh, qkh, resolveIndexEngine(qqh, qkh),
-                [inv_sqrt](size_t, float *vals, size_t n) {
-                    scaleRow(vals, n, inv_sqrt);
-                    softmaxRow(vals, n);
-                },
-                lp.dp, enginePlaneSet(ep), false, nullptr, &mmStats,
-                lane);
-            countAct(sc.planes);
-            const QuantizedTensor qvht =
-                encodeAct(*lp.dv, vht, ep, lane);
-            const FusedGemmOut out = indexMatmulTransBFused(
-                sc.planes, qvht, resolveIndexEngine(sc.planes, qvht),
-                nullptr, nullptr, PlaneSet::Bytes, true, nullptr,
-                &mmStats, lane);
-            for (size_t r = 0; r < seq; ++r)
-                for (size_t c = 0; c < hd; ++c)
-                    ctx.at(r0 + r, h * hd + c) = out.dense.at(r, c);
-        });
-
-        // wo: bias + residual + layer-norm fused, output emitted
-        // straight as the w1 GEMM's mid_in planes (and kept dense
-        // for the second residual).
-        const IndexEngine ewo = siteEngine(so, total, iter, calib);
-        const QuantizedTensor qctx = encodeAct(*lp.dctx, ctx, ewo, lane);
-        const IndexEngine ew1 = siteEngine(s1, total, iter, calib);
-        const Tensor &res_in = x;
-        FusedGemmOut r1 = runSite(
-            so, qctx, ewo,
-            [&so, &res_in](size_t i, float *vals, size_t n) {
-                addBiasRow(vals, so.bias->data(), n);
-                addRow(vals, vals, res_in.row(i), n);
-                layerNormRow(vals, n);
-            },
-            lp.dmidIn, enginePlaneSet(ew1), true, calib, lane);
-        countAct(r1.planes);
-
-        // w1: bias + GELU fused, planes-only output — the mid float
-        // tensor is gone entirely on this path.
-        const IndexEngine ew2 = siteEngine(s2, total, iter, calib);
-        FusedGemmOut rm = runSite(
-            s1, r1.planes, ew1,
-            [&s1](size_t, float *vals, size_t n) {
-                addBiasRow(vals, s1.bias->data(), n);
-                geluRow(vals, n);
-            },
-            lp.dmid, enginePlaneSet(ew2), false, calib, lane);
-        countAct(rm.planes);
-
-        // w2: bias + residual + layer-norm fused; when the caller
-        // continues plane-to-plane (whole-graph walk, any layer but
-        // the last), the output is also encoded as the next layer's
-        // x planes against that layer's dictionary and engine.
-        const TensorDictionary *next_dx =
-            emitNext ? plan.layers[l + 1].dx : nullptr;
-        const IndexEngine enx = emitNext
-            ? siteEngine(plan.layers[l + 1].sites[kSiteWq], total,
-                         iter, calib)
-            : IndexEngine::Count;
-        const Tensor &res1 = r1.dense;
-        FusedGemmOut r2 = runSite(
-            s2, rm.planes, ew2,
-            [&s2, &res1](size_t i, float *vals, size_t n) {
-                addBiasRow(vals, s2.bias->data(), n);
-                addRow(vals, vals, res1.row(i), n);
-                layerNormRow(vals, n);
-            },
-            next_dx, enginePlaneSet(enx), true, calib, lane);
-        if (emitNext)
-            countAct(r2.planes);
-        qx = std::move(r2.planes);
-        return std::move(r2.dense);
+    const IndexEngine eq = siteEngine(sq, total);
+    if (!haveQx) {
+        // Whole-graph entry (layer 0) and every step-wise call:
+        // encode the float rows as this layer's x planes. On the
+        // whole-graph path later layers receive their planes from
+        // the previous w2 GEMM instead; both routes produce the
+        // same bits (the fused-emission contract).
+        qx = encodeAct(*lp.dx, x, eq, lane);
     }
+
+    // QKV: heads are gathered in float, so these three fuse the
+    // bias epilogue and read the hoisted constants/fold sums but
+    // keep dense outputs.
+    const auto bias_epi = [](const SitePlan &s) {
+        return FusedRowEpilogue(
+            [&s](size_t, float *vals, size_t n) {
+                addBiasRow(vals, s.bias->data(), n);
+            });
+    };
+    FusedGemmOut qo = runSite(sq, qx, eq, bias_epi(sq), nullptr,
+                              PlaneSet::Bytes, true, lane);
+    FusedGemmOut ko = runSite(sk, qx, siteEngine(sk, total),
+                              bias_epi(sk), nullptr, PlaneSet::Bytes,
+                              true, lane);
+    FusedGemmOut vo = runSite(sv, qx, siteEngine(sv, total),
+                              bias_epi(sv), nullptr, PlaneSet::Bytes,
+                              true, lane);
+    const Tensor &q = qo.dense;
+    const Tensor &k = ko.dense;
+    const Tensor &v = vo.dense;
+
+    // Attention, one job per (sequence, head): it never crosses a
+    // sequence boundary, and every job writes a disjoint block of
+    // ctx. The score GEMM fuses scale + softmax + the probability
+    // re-quantization into its band walk, so the score matrix
+    // never exists as a standalone float tensor. act x act GEMMs
+    // have K = seq, so no hoisted constants; under Auto both
+    // sides start cold and encode to byte planes.
+    Tensor ctx(total, cfg.hidden);
+    const float inv_sqrt = lp.invSqrtHd;
+    const IndexEngine ep = indexEngine() == IndexEngine::Auto
+        ? IndexEngine::Count
+        : indexEngine();
+    parallelFor(lane, 0, batch * cfg.heads, 1, [&](size_t job) {
+        const size_t b = job / cfg.heads;
+        const size_t h = job % cfg.heads;
+        const size_t r0 = starts[b];
+        const size_t seq = starts[b + 1] - r0;
+        Tensor qh(seq, hd), kh(seq, hd), vht(hd, seq);
+        for (size_t r = 0; r < seq; ++r) {
+            for (size_t c = 0; c < hd; ++c) {
+                qh.at(r, c) = q.at(r0 + r, h * hd + c);
+                kh.at(r, c) = k.at(r0 + r, h * hd + c);
+                vht.at(c, r) = v.at(r0 + r, h * hd + c);
+            }
+        }
+        const QuantizedTensor qqh = encodeAct(*lp.dq, qh, ep, lane);
+        const QuantizedTensor qkh = encodeAct(*lp.dk, kh, ep, lane);
+        FusedGemmOut sc = indexMatmulTransBFused(
+            qqh, qkh, resolveIndexEngine(qqh, qkh),
+            [inv_sqrt](size_t, float *vals, size_t n) {
+                scaleRow(vals, n, inv_sqrt);
+                softmaxRow(vals, n);
+            },
+            lp.dp, enginePlaneSet(ep), false, nullptr, &mmStats,
+            lane);
+        countAct(sc.planes);
+        const QuantizedTensor qvht =
+            encodeAct(*lp.dv, vht, ep, lane);
+        const FusedGemmOut out = indexMatmulTransBFused(
+            sc.planes, qvht, resolveIndexEngine(sc.planes, qvht),
+            nullptr, nullptr, PlaneSet::Bytes, true, nullptr,
+            &mmStats, lane);
+        for (size_t r = 0; r < seq; ++r)
+            for (size_t c = 0; c < hd; ++c)
+                ctx.at(r0 + r, h * hd + c) = out.dense.at(r, c);
+    });
+
+    // wo: bias + residual + layer-norm fused, output emitted
+    // straight as the w1 GEMM's mid_in planes (and kept dense
+    // for the second residual).
+    const IndexEngine ewo = siteEngine(so, total);
+    const QuantizedTensor qctx = encodeAct(*lp.dctx, ctx, ewo, lane);
+    const IndexEngine ew1 = siteEngine(s1, total);
+    const Tensor &res_in = x;
+    FusedGemmOut r1 = runSite(
+        so, qctx, ewo,
+        [&so, &res_in](size_t i, float *vals, size_t n) {
+            addBiasRow(vals, so.bias->data(), n);
+            addRow(vals, vals, res_in.row(i), n);
+            layerNormRow(vals, n);
+        },
+        lp.dmidIn, enginePlaneSet(ew1), true, lane);
+    countAct(r1.planes);
+
+    // w1: bias + GELU fused, planes-only output — the mid float
+    // tensor is gone entirely on this path.
+    const IndexEngine ew2 = siteEngine(s2, total);
+    FusedGemmOut rm = runSite(
+        s1, r1.planes, ew1,
+        [&s1](size_t, float *vals, size_t n) {
+            addBiasRow(vals, s1.bias->data(), n);
+            geluRow(vals, n);
+        },
+        lp.dmid, enginePlaneSet(ew2), false, lane);
+    countAct(rm.planes);
+
+    // w2: bias + residual + layer-norm fused; when the caller
+    // continues plane-to-plane (whole-graph walk, any layer but
+    // the last), the output is also encoded as the next layer's
+    // x planes against that layer's dictionary and engine.
+    const TensorDictionary *next_dx =
+        emitNext ? plan.layers[l + 1].dx : nullptr;
+    const IndexEngine enx = emitNext
+        ? siteEngine(plan.layers[l + 1].sites[kSiteWq], total)
+        : IndexEngine::Count;
+    const Tensor &res1 = r1.dense;
+    FusedGemmOut r2 = runSite(
+        s2, rm.planes, ew2,
+        [&s2, &res1](size_t i, float *vals, size_t n) {
+            addBiasRow(vals, s2.bias->data(), n);
+            addRow(vals, vals, res1.row(i), n);
+            layerNormRow(vals, n);
+        },
+        next_dx, enginePlaneSet(enx), true, lane);
+    if (emitNext)
+        countAct(r2.planes);
+    qx = std::move(r2.planes);
+    return std::move(r2.dense);
 }
 
 Tensor
@@ -489,16 +357,7 @@ QuantizedTransformer::forwardGraphFused(
     const Tensor &input, const std::vector<size_t> &starts,
     Lane lane) const
 {
-    GraphPlan &plan = *graphPlan;
     const ModelConfig &cfg = model.config();
-    // Self-calibration only makes sense when the engine choice is
-    // actually open (MOKEY_ENGINE=auto); under a fixed engine the
-    // timed iterations would just measure what is already decided.
-    const bool calib =
-        engineCalibration() && indexEngine() == IndexEngine::Auto;
-    const uint64_t iter =
-        calib ? plan.iteration.load(std::memory_order_relaxed) : 0;
-
     // The carried state between layers: the float rows (residual
     // input of the next attention block) and the same values already
     // encoded as the next layer's x planes — emitted by the previous
@@ -509,14 +368,7 @@ QuantizedTransformer::forwardGraphFused(
     for (size_t l = 0; l < cfg.layers; ++l)
         x = fusedLayerStep(l, x, qx, /*haveQx=*/l > 0,
                            /*emitNext=*/l + 1 < cfg.layers, starts,
-                           calib, iter, lane);
-
-    if (calib) {
-        const uint64_t done =
-            plan.iteration.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (done >= 2)
-            finalizeEnginePins();
-    }
+                           lane);
     return x;
 }
 
@@ -543,13 +395,9 @@ QuantizedTransformer::forwardStep(size_t layer,
     MOKEY_ASSERT(!actDicts.empty(),
                  "profileActivations() must run before full "
                  "quantized inference");
-    // Step-wise calls never advance calibration: the timed iterations
-    // are whole-graph passes, and a step's membership can change
-    // between layers, which would skew the profile.
     QuantizedTensor qx;
     return fusedLayerStep(layer, stacked, qx, /*haveQx=*/false,
-                          /*emitNext=*/false, starts, /*calib=*/false,
-                          /*iter=*/0, lane);
+                          /*emitNext=*/false, starts, lane);
 }
 
 Tensor

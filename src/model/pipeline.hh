@@ -145,8 +145,6 @@ class QuantizedTransformer
      * against the layer's activation dictionary; the fused GEMM
      * contract (emitted planes == encodeToPlanes of
      * the dense epilogue output) makes that re-encode exact.
-     * Engine self-calibration never advances on this path — only
-     * whole-graph passes are timed.
      *
      * @param layer  which encoder layer to apply (< stepCount())
      * @param stacked sum-of-seqs x hidden stacked activations (the
@@ -170,24 +168,6 @@ class QuantizedTransformer
     /** Activation dictionary for a tensor id (fatal if missing). */
     const TensorDictionary &activationDict(const TensorId &id) const;
 
-    /**
-     * The per-site engine profile of the fused graph, one entry per
-     * (layer, weight site): the pinned engine once self-calibration
-     * decided (pinned = true), or the process-wide selection while
-     * undecided. Empty before the graph plan exists.
-     */
-    std::vector<EnginePin> enginePins() const;
-
-    /**
-     * Apply an engine profile (e.g. an enginePins() snapshot from a
-     * calibrated run): each named site is pinned to the given engine
-     * and skips further calibration. Pins apply only under
-     * MOKEY_ENGINE=auto, mirroring how calibration records them.
-     * This is what makes calibrated deployments reproducible — pin
-     * once, then every forward resolves identically.
-     */
-    void pinEngines(const std::vector<EnginePin> &pins) const;
-
   private:
     const Transformer &model;
     const Quantizer &quantizer;
@@ -206,11 +186,11 @@ class QuantizedTransformer
     /**
      * Hoisted execution plan of the fused forward walk; rebuilt by
      * quantizeWeights()/profileActivations() once both halves exist,
-     * so it is non-null whenever ready() holds. Mutable because
-     * calibration state (timings, pins, iteration) advances inside
-     * const forward passes.
+     * so it is non-null whenever ready() holds. Read-only to forward
+     * passes: a forward writes only mmStats and the outlier-rate
+     * counters above.
      */
-    mutable std::unique_ptr<GraphPlan> graphPlan;
+    std::unique_ptr<GraphPlan> graphPlan;
 
     /**
      * Encode an activation against @p dict straight into the planes
@@ -230,22 +210,18 @@ class QuantizedTransformer
 
     /**
      * The engine decision for one weight site: the fixed process
-     * engine, the site's calibration pin, a forced profiling engine
-     * during the two calibration iterations, or the Auto decision
-     * table applied to the site's shape and weight-plane residency.
+     * engine, or the Auto decision table applied to the site's shape
+     * and weight-plane residency.
      */
-    IndexEngine siteEngine(const SitePlan &site, size_t aRows,
-                           uint64_t iter, bool calibrating) const;
+    IndexEngine siteEngine(const SitePlan &site, size_t aRows) const;
 
-    /** Run one weight site's fused GEMM (timed while calibrating). */
-    FusedGemmOut runSite(SitePlan &site, const QuantizedTensor &act,
-                         IndexEngine e, const FusedRowEpilogue &epi,
+    /** Run one weight site's fused GEMM. */
+    FusedGemmOut runSite(const SitePlan &site,
+                         const QuantizedTensor &act, IndexEngine e,
+                         const FusedRowEpilogue &epi,
                          const TensorDictionary *outDict,
                          PlaneSet outSets, bool keepDense,
-                         bool calibrating, Lane lane) const;
-
-    /** Pin every fully-profiled site to its measured winner. */
-    void finalizeEnginePins() const;
+                         Lane lane) const;
 
     /**
      * The plane-to-plane fused pass over all layers: each fused GEMM
@@ -269,7 +245,7 @@ class QuantizedTransformer
                           QuantizedTensor &qx, bool haveQx,
                           bool emitNext,
                           const std::vector<size_t> &starts,
-                          bool calib, uint64_t iter, Lane lane) const;
+                          Lane lane) const;
 };
 
 } // namespace mokey

@@ -69,6 +69,13 @@ class TaskEvaluator
                   size_t n_samples = 200, size_t seq = 32,
                   uint64_t seed = 0xBEEF, double label_noise = 0.15);
 
+    /** The evaluator keeps a reference to @p model: a temporary
+     *  would dangle as soon as the constructor returned. */
+    TaskEvaluator(const Transformer &&model, TaskKind kind,
+                  size_t n_samples = 200, size_t seq = 32,
+                  uint64_t seed = 0xBEEF,
+                  double label_noise = 0.15) = delete;
+
     /** Score an arbitrary forward function on the frozen benchmark. */
     double evaluate(const ForwardFn &fn) const;
 

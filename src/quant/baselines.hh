@@ -84,13 +84,20 @@ std::unique_ptr<BaselineQuantizer> makeGobo(double outlier_frac = 0.001);
 /** TernaryBERT-style 2 b weights / 8 b activations. */
 std::unique_ptr<BaselineQuantizer> makeTernaryBert();
 
-/** Mokey wrapped in the same interface (4 b / 4 b). */
+/**
+ * Mokey wrapped in the same interface (4 b / 4 b). The wrapper keeps
+ * a reference to @p q, so a temporary quantizer does not bind.
+ */
 std::unique_ptr<BaselineQuantizer> makeMokeyBaseline(
     const Quantizer &q);
+std::unique_ptr<BaselineQuantizer> makeMokeyBaseline(
+    const Quantizer &&q) = delete;
 
-/** All Table IV rows in paper order. */
+/** All Table IV rows in paper order (the Mokey row keeps @p q). */
 std::vector<std::unique_ptr<BaselineQuantizer>> makeTable4Lineup(
     const Quantizer &q);
+std::vector<std::unique_ptr<BaselineQuantizer>> makeTable4Lineup(
+    const Quantizer &&q) = delete;
 
 } // namespace mokey
 

@@ -18,10 +18,13 @@
  *            histogram phase is exact integer arithmetic.
  *
  * The active engine is chosen once per process from the MOKEY_ENGINE
- * environment variable ("mag" or "count"; default "mag") and can be
- * switched at runtime with setIndexEngine(). indexMatmulTransB() and
- * indexMatmulTransBScalar() dispatch on it, so the whole pipeline —
- * serving stack included — switches engines without a rebuild.
+ * environment variable ("mag", "count" or "auto"; default "mag") and
+ * can be switched at runtime with setIndexEngine(). indexMatmulTransB()
+ * and indexMatmulTransBScalar() dispatch on it, so the whole pipeline —
+ * serving stack included — switches engines without a rebuild. Auto
+ * is a pure function of each GEMM's shape and weight-plane residency
+ * against the fixed kAutoMagBudgetBytes: nothing is timed or tuned
+ * per host or per run.
  */
 
 #ifndef MOKEY_QUANT_ENGINE_HH
@@ -75,49 +78,11 @@ PlaneSet enginePlaneSet(IndexEngine engine);
 constexpr size_t kAutoMagBudgetBytes = 12u << 20;
 
 /**
- * Whether engine self-calibration is enabled (MOKEY_CALIBRATE,
- * default off). When on, two things change:
- *  - the Auto mag budget comes from a measured cache probe
- *    (calibrateMagBudget) instead of the hand-tuned constant;
- *  - the fused graph path's first iterations time mag-vs-count per
- *    weight site and pin each site's engine for the rest of the run
- *    (see QuantizedTransformer::enginePins()).
- * Off by default because the timing-derived choices, while always
- * correct, are host-dependent — parity tests want the pure decision
- * table.
- */
-bool engineCalibration();
-
-/** Flip calibration at runtime (tests restore the prior value). */
-void setEngineCalibration(bool on);
-
-/**
- * Measure the host's streamed-read cache cliff once per process: a
- * tiny timed probe (sumD over growing buffers) finds the largest
- * working set that still streams at near-cache bandwidth, which is
- * exactly the regime where the 8 B/element mag planes win. Result
- * is clamped to [4 MiB, 64 MiB] and cached; takes a few ms on the
- * first call.
- */
-size_t calibrateMagBudget();
-
-/**
- * The Auto heuristic's byte budget actually in force: the
- * compile-time default, the calibrated probe result (when
- * MOKEY_CALIBRATE is on), or a setAutoMagBudgetBytes() override.
- * Resolved lazily on first use and cached per process.
- */
-size_t autoMagBudgetBytes();
-
-/** Override the budget (tests); 0 re-resolves default/calibrated. */
-void setAutoMagBudgetBytes(size_t bytes);
-
-/**
  * The MOKEY_ENGINE=auto decision table, as a pure function so the
  * unit tests can pin it:
  *
- *  1. (aRows + wRows) * k mag-plane bytes over the budget -> Count
- *     (K is DRAM-bound: stream 2 B/element, not 8);
+ *  1. (aRows + wRows) * k mag-plane bytes over kAutoMagBudgetBytes
+ *     -> Count (K is DRAM-bound: stream 2 B/element, not 8);
  *  2. weight mag plane resident (pinned warm) -> Mag (fastest when
  *     cache-resident and already paid for);
  *  3. otherwise (weight planes cold, or only byte planes resident)
@@ -128,12 +93,9 @@ void setAutoMagBudgetBytes(size_t bytes);
  * @param wRows  weight rows (N; the transposed operand)
  * @param k      reduction length
  * @param weight the weight tensor's current planesFootprint()
- * @param budget mag-stream byte budget; 0 (the default) reads the
- *               process budget autoMagBudgetBytes()
  */
 IndexEngine autoEngineChoice(size_t aRows, size_t wRows, size_t k,
-                             const PlanesFootprint &weight,
-                             size_t budget = 0);
+                             const PlanesFootprint &weight);
 
 /**
  * The engine a GEMM over (a, wt) runs on: the fixed selection, or

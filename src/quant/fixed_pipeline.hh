@@ -51,6 +51,15 @@ class FixedIndexEngine
                      const TensorDictionary &dict_w,
                      FixedFormat out_fmt);
 
+    /** The engine keeps references to both dictionaries: a
+     *  temporary would dangle as soon as the constructor returned. */
+    FixedIndexEngine(const TensorDictionary &&dict_a,
+                     const TensorDictionary &dict_w,
+                     FixedFormat out_fmt) = delete;
+    FixedIndexEngine(const TensorDictionary &dict_a,
+                     const TensorDictionary &&dict_w,
+                     FixedFormat out_fmt) = delete;
+
     /** Format the power table is held in. */
     const FixedFormat &baseFormat() const { return baseFmt; }
 

@@ -197,7 +197,8 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
  * This is the production entry point: it dispatches to the engine
  * selected by resolveIndexEngine() — the fixed MOKEY_ENGINE /
  * setIndexEngine() choice, or, under MOKEY_ENGINE=auto, a per-GEMM
- * decision from K and the weight-side plane residency:
+ * decision from the shape and the weight-side plane residency
+ * against the fixed kAutoMagBudgetBytes (nothing is timed):
  *
  *  - indexMatmulTransBMag(): streams the dense double magnitude
  *    planes branch-free (GPE collapses to one vectorized dot);

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.hh"
 #include "quant/baselines.hh"
@@ -15,6 +17,27 @@ namespace mokey
 {
 namespace
 {
+
+// The Mokey row keeps a reference to the caller's quantizer, so a
+// temporary must not bind to either factory.
+template <typename Q, typename = void>
+struct MakesMokeyBaseline : std::false_type {};
+template <typename Q>
+struct MakesMokeyBaseline<
+    Q, std::void_t<decltype(makeMokeyBaseline(std::declval<Q>()))>>
+    : std::true_type {};
+
+template <typename Q, typename = void>
+struct MakesTable4Lineup : std::false_type {};
+template <typename Q>
+struct MakesTable4Lineup<
+    Q, std::void_t<decltype(makeTable4Lineup(std::declval<Q>()))>>
+    : std::true_type {};
+
+static_assert(MakesMokeyBaseline<const Quantizer &>::value);
+static_assert(!MakesMokeyBaseline<Quantizer &&>::value);
+static_assert(MakesTable4Lineup<const Quantizer &>::value);
+static_assert(!MakesTable4Lineup<Quantizer &&>::value);
 
 Tensor
 gaussianTensor(size_t rows, size_t cols, uint64_t seed,

@@ -11,10 +11,12 @@
 
 #include <cmath>
 #include <thread>
+#include <type_traits>
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "model/config.hh"
 #include "quant/fixed_pipeline.hh"
 #include "quant/index_matmul.hh"
 #include "quant/quantizer.hh"
@@ -25,6 +27,21 @@ namespace mokey
 {
 namespace
 {
+
+// FixedIndexEngine keeps references to both dictionaries, so a
+// temporary on either side must not compile.
+static_assert(std::is_constructible_v<FixedIndexEngine,
+                                      const TensorDictionary &,
+                                      const TensorDictionary &,
+                                      FixedFormat>);
+static_assert(!std::is_constructible_v<FixedIndexEngine,
+                                       TensorDictionary &&,
+                                       const TensorDictionary &,
+                                       FixedFormat>);
+static_assert(!std::is_constructible_v<FixedIndexEngine,
+                                       const TensorDictionary &,
+                                       TensorDictionary &&,
+                                       FixedFormat>);
 
 struct Shape
 {
@@ -452,6 +469,42 @@ TEST(AutoEngine, DecisionTable)
     const size_t fit_k = kAutoMagBudgetBytes / (2 * 64 * 8);
     EXPECT_EQ(autoEngineChoice(64, 64, fit_k, mag_warm),
               IndexEngine::Mag);
+
+    // BERT-base decode (M = 1) against its weight sites, under the
+    // fixed budget. wq (N x K = H x H) fits: its mag plane is pinned
+    // and the GEMM runs on mag. w1 (4H x H) and w2 (H x 4H) stream
+    // more than the budget even with a warm mag plane, so both FFN
+    // GEMMs go to counting and their weights pin byte planes.
+    const ModelConfig base = bertBase();
+    struct Site
+    {
+        const char *name;
+        size_t n, k;
+        PlaneSet pin;
+        IndexEngine engine;
+    };
+    const Site sites[] = {
+        {"wq", base.hidden, base.hidden, PlaneSet::Mag,
+         IndexEngine::Mag},
+        {"w1", base.ffn, base.hidden, PlaneSet::Bytes,
+         IndexEngine::Count},
+        {"w2", base.hidden, base.ffn, PlaneSet::Bytes,
+         IndexEngine::Count},
+    };
+    for (const Site &site : sites) {
+        EXPECT_EQ(weightPlaneSet(IndexEngine::Auto, site.n, site.k),
+                  site.pin)
+            << site.name;
+        EXPECT_EQ(autoEngineChoice(1, site.n, site.k, mag_warm),
+                  site.engine)
+            << site.name;
+        EXPECT_EQ(autoEngineChoice(1, site.n, site.k,
+                                   site.pin == PlaneSet::Mag
+                                       ? mag_warm
+                                       : bytes_only),
+                  site.engine)
+            << site.name;
+    }
 
     // Weight pinning policy: fixed engines pin what they stream;
     // Auto pins by the weight's own size.

@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <type_traits>
 #include <gtest/gtest.h>
 
 #include "model/config.hh"
@@ -19,6 +20,13 @@ namespace mokey
 {
 namespace
 {
+
+// The evaluator keeps a reference to the model, so binding a
+// temporary must not compile.
+static_assert(std::is_constructible_v<TaskEvaluator, const Transformer &,
+                                      TaskKind>);
+static_assert(!std::is_constructible_v<TaskEvaluator, Transformer &&,
+                                       TaskKind>);
 
 TEST(ModelConfig, PublishedParameterCounts)
 {

@@ -33,20 +33,6 @@ struct EngineGuard
     ~EngineGuard() { setIndexEngine(prior); }
 };
 
-/** Restores the engine self-calibration flag likewise. */
-struct CalibrateGuard
-{
-    bool prior = engineCalibration();
-    ~CalibrateGuard() { setEngineCalibration(prior); }
-};
-
-/** Restores the Auto-engine mag byte budget likewise. */
-struct MagBudgetGuard
-{
-    size_t prior = autoMagBudgetBytes();
-    ~MagBudgetGuard() { setAutoMagBudgetBytes(prior); }
-};
-
 /**
  * Arms the process-wide fault injector for one test — unless the
  * environment (a CI chaos sweep via MOKEY_FAULT) already armed it,
