@@ -8,7 +8,7 @@
  * precomputed fold sums (one multiply per row/column term instead of
  * an O(K) re-fold per GEMM), hoists the per-site GEMM constants into
  * the GraphPlan, and chains every epilogue and the next GEMM's
- * re-quantization into the band walk — so the win is largest exactly
+ * re-quantization onto the GEMM — so the win is largest exactly
  * where serving hurts most: the m=1 decode step, where the column
  * fold is ~half the arithmetic of the whole GEMM.
  *

@@ -664,4 +664,42 @@ parallelFor(size_t begin, size_t end, size_t grain,
     parallelFor(Lane{}, begin, end, grain, body);
 }
 
+size_t
+grainFor(size_t work)
+{
+    return std::max<size_t>(1, (size_t{1} << 15) / (work + 1));
+}
+
+void
+parallelForTiles(Lane lane, size_t rows, size_t cols, size_t tileCols,
+                 size_t k, const TileBody &body)
+{
+    if (rows == 0 || cols == 0)
+        return;
+    const size_t quarters = 4 * threadCount();
+    const size_t band = (rows + quarters - 1) / quarters;
+    const size_t bands = (rows + band - 1) / band;
+    const size_t tiles = (cols + tileCols - 1) / tileCols;
+    parallelForRange(
+        lane, 0, bands * tiles, grainFor(band * tileCols * k),
+        [&](size_t lo, size_t hi) {
+            while (lo < hi) {
+                const size_t b = lo / tiles;
+                if (lo % tiles == 0 && hi - lo >= tiles) {
+                    // A run of whole bands is one rectangle, so an
+                    // inline GEMM reuses each tile across all its rows.
+                    const size_t b_end = hi / tiles;
+                    body(b * band, std::min(rows, b_end * band), 0, cols);
+                    lo = b_end * tiles;
+                } else {
+                    const size_t end = std::min(hi, (b + 1) * tiles);
+                    body(b * band, std::min(rows, (b + 1) * band),
+                         (lo - b * tiles) * tileCols,
+                         std::min(cols, (end - b * tiles) * tileCols));
+                    lo = end;
+                }
+            }
+        });
+}
+
 } // namespace mokey

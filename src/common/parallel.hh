@@ -182,6 +182,42 @@ void parallelFor(size_t begin, size_t end, size_t grain,
 void parallelFor(Lane lane, size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t i)> &body);
 
+/**
+ * Grain for a loop whose indexes each cost @p work multiply-adds:
+ * a chunk carries at least ~32k of them, so tiny loops run inline on
+ * the calling thread.
+ */
+size_t grainFor(size_t work);
+
+/** Body of parallelForTiles(): rows [i0, i1) x columns [j0, j1). */
+using TileBody =
+    std::function<void(size_t i0, size_t i1, size_t j0, size_t j1)>;
+
+/**
+ * Run @p body over the (rows x cols) output of a GEMM whose outputs
+ * each cost @p k multiply-adds — the one partition of every
+ * weight-site GEMM, a 2-D grid of (row band x column tile) cells.
+ *
+ * Bands are ceil(rows / (4 * threads)) rows high, so a prefill GEMM
+ * keeps ~4 bands per thread and each weight tile is reused by every
+ * row of its band. Tiles are @p tileCols wide, so a 1-row decode GEMM
+ * still spreads its weight columns over the pool. The cells are
+ * numbered band-major and fanned out by parallelForRange() with a
+ * grainFor() grain, so tiny GEMMs run inline. A chunk reaches @p body
+ * as at most three rectangles: its run of whole bands as one
+ * rectangle across all columns (an inline GEMM is a single
+ * rectangle), and a partial band at either end. A rectangle's j0 is
+ * a multiple of @p tileCols, and its j1 is one too unless it is
+ * @p cols.
+ *
+ * Every (row, column) lands in exactly one rectangle, and the
+ * rectangles are a pure function of (rows, cols, tileCols, k, thread
+ * count). Two rectangles may share a row, so @p body writes only its
+ * own elements.
+ */
+void parallelForTiles(Lane lane, size_t rows, size_t cols,
+                      size_t tileCols, size_t k, const TileBody &body);
+
 } // namespace mokey
 
 #endif // MOKEY_COMMON_PARALLEL_HH

@@ -255,7 +255,7 @@ QuantizedTransformer::fusedLayerStep(
     // Attention, one job per (sequence, head): it never crosses a
     // sequence boundary, and every job writes a disjoint block of
     // ctx. The score GEMM fuses scale + softmax + the probability
-    // re-quantization into its band walk, so the score matrix
+    // re-quantization into its row pass, so the score matrix
     // never exists as a standalone float tensor. act x act GEMMs
     // have K = seq, so no hoisted constants; under Auto both
     // sides start cold and encode to byte planes.

@@ -42,7 +42,7 @@ enum class QuantMode
  * The fully quantized forward pass is the plane-to-plane fused graph
  * walk: every weight-site GEMM chains its epilogue (bias, residual,
  * norm, GELU, attention scale+softmax) and the next consumer's
- * activation quantization into the GEMM's own row-band walk, and
+ * activation quantization into the GEMM's own row pass, and
  * activations are encoded straight into the planes the GEMM streams
  * (Quantizer::encodeToPlanes). There is no other path; these two
  * accessors report that for configuration banners.

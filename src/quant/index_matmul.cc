@@ -436,95 +436,6 @@ engineDot(const GemmConstants &ctx, const double *ma,
     return gpe + row_term + col_term + ctx.constTerm + ot_acc;
 }
 
-/** Weight-tile width: ~8*kTileN*k mag-plane bytes stay L2-resident. */
-constexpr size_t kTileN = 32;
-
-Tensor
-engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
-             IndexMatmulStats *stats, bool tiled_parallel,
-             Lane lane = {})
-{
-    MOKEY_ASSERT(a.cols() == wt.cols(),
-                 "index matmul reduction mismatch: %zu vs %zu",
-                 a.cols(), wt.cols());
-    const size_t m = a.rows(), n = wt.rows(), k = a.cols();
-    const GemmConstants ctx =
-        cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
-
-    // Materialize both plane views on this thread before fanning
-    // out; hold the owning pointers so a concurrent plane-set
-    // upgrade on a shared tensor cannot free them mid-GEMM.
-    const auto pa_sp = a.planesShared(PlaneSet::Mag);
-    const auto pw_sp = wt.planesShared(PlaneSet::Mag);
-    const CodePlanes &pa = *pa_sp;
-    const CodePlanes &pw = *pw_sp;
-
-    // Pairing-independent sums folded straight into per-row/-column
-    // scalar terms of the reconstruction. The seed's SoA2 + b*PoM2
-    // is exactly the mag-plane row sum:
-    //   sum th (a^i) + b sum th  =  sum th (a^i + b).
-    // Folded per call on purpose: this unfused entry point is what the
-    // frozen layer-at-a-time replica in tests/reference/ runs, and the
-    // fused graph walk (which reads the planes' precomputed
-    // magRowSum) is tested and benchmarked against it; the shared
-    // helper guarantees the arithmetic order matches bit for bit.
-    std::vector<double> row_term(m), col_term(n);
-    const auto fold = [k](const CodePlanes &p, size_t r) {
-        return magPlaneRowSum(p.magRow(r), k);
-    };
-    // The scalar path must honour its contract of never touching the
-    // pool, so the fold loops are serial there too; per-element
-    // results are identical either way.
-    const auto foldRows = [&](size_t i) {
-        row_term[i] = ctx.sA * ctx.mW * fold(pa, i);
-    };
-    const auto foldCols = [&](size_t j) {
-        col_term[j] = ctx.sW * ctx.mA * fold(pw, j);
-    };
-    if (tiled_parallel) {
-        parallelFor(lane, 0, m, 16, foldRows);
-        parallelFor(lane, 0, n, 16, foldCols);
-    } else {
-        for (size_t i = 0; i < m; ++i)
-            foldRows(i);
-        for (size_t j = 0; j < n; ++j)
-            foldCols(j);
-    }
-
-    Tensor out(m, n);
-    const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
-        // Tile over the weight rows so a kTileN-row plane block is
-        // reused by every activation row of the band.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                const double *ma = pa.magRow(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                float *orow = out.row(i);
-                for (size_t j = jb; j < jhi; ++j) {
-                    orow[j] = static_cast<float>(engineDot(
-                        ctx, ma, oa, na, pw.magRow(j),
-                        pw.outlierRow(j), pw.outlierCount(j),
-                        row_term[i], col_term[j], ot_pairs));
-                }
-            }
-        }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
-        }
-    };
-
-    if (tiled_parallel)
-        parallelForRange(lane, 0, m, 1, band);
-    else
-        band(0, m);
-    return out;
-}
-
 /**
  * One counting-engine dot product over the byte planes and outlier
  * sidecars — the paper's GPE/OPP dataflow run literally:
@@ -599,36 +510,124 @@ countingDot(const GemmConstants &cc, const uint8_t *ia,
     return gpe + row_term + col_term + ctx.constTerm + ot_acc;
 }
 
+/**
+ * Weight-tile width, and the column width of the GEMM tile grid:
+ * a tile's ~8*kTileN*k mag-plane bytes stay L2-resident while every
+ * row of a band reuses them, and a 768-column decode GEMM still has
+ * 24 tiles to spread over the pool.
+ */
+constexpr size_t kTileN = 32;
+
+/**
+ * The tile walker of every index GEMM: fills the (m x n) row-major
+ * @p out with one engineDot (Mag) or countingDot (Count) call per
+ * element, over parallelForTiles()' (row band x kTileN weight tile)
+ * grid — or, when @p parallel is false, as one rectangle on the
+ * calling thread. @p pa / @p pw must hold @p engine's planes.
+ * Each element is one call of the same noinline dot whatever the
+ * partition, so the output is bit-identical for every thread count,
+ * lane and parallel setting. Pair counts are published once per
+ * rectangle; their totals are integer sums, independent of order.
+ */
+void
+walkTiles(const GemmConstants &ctx, IndexEngine engine,
+          const CodePlanes &pa, const CodePlanes &pw,
+          const double *row_term, const double *col_term, float *out,
+          IndexMatmulStats *stats, bool parallel, Lane lane)
+{
+    const size_t m = pa.rows, n = pw.rows, k = ctx.k;
+    const bool mag = engine == IndexEngine::Mag;
+    const auto rect = [&](size_t i0, size_t i1, size_t j0, size_t j1) {
+        uint64_t ot_pairs = 0;
+        // Tile over the weight rows so a kTileN-row plane block is
+        // reused by every activation row of the band.
+        for (size_t jb = j0; jb < j1; jb += kTileN) {
+            const size_t jhi = std::min(jb + kTileN, j1);
+            for (size_t i = i0; i < i1; ++i) {
+                float *orow = out + i * n;
+                const CodePlanes::Outlier *oa = pa.outlierRow(i);
+                const size_t na = pa.outlierCount(i);
+                if (mag) {
+                    const double *ma = pa.magRow(i);
+                    for (size_t j = jb; j < jhi; ++j) {
+                        orow[j] = static_cast<float>(engineDot(
+                            ctx, ma, oa, na, pw.magRow(j),
+                            pw.outlierRow(j), pw.outlierCount(j),
+                            row_term[i], col_term[j], ot_pairs));
+                    }
+                } else {
+                    const uint8_t *ia = pa.indexRow(i);
+                    const int8_t *ta = pa.thetaRow(i);
+                    for (size_t j = jb; j < jhi; ++j) {
+                        orow[j] = static_cast<float>(countingDot(
+                            ctx, ia, ta, oa, na, pw.indexRow(j),
+                            pw.thetaRow(j), pw.outlierRow(j),
+                            pw.outlierCount(j), row_term[i],
+                            col_term[j], ot_pairs));
+                    }
+                }
+            }
+        }
+        if (stats) {
+            const uint64_t pairs =
+                static_cast<uint64_t>(i1 - i0) * (j1 - j0) * k;
+            stats->add(pairs - ot_pairs, ot_pairs);
+        }
+    };
+    if (parallel)
+        parallelForTiles(lane, m, n, kTileN, k, rect);
+    else
+        rect(0, m, 0, n);
+}
+
+/**
+ * The unfused GEMM under a resolved @p engine: the mag engine streams
+ * the mag planes, the counting engine only the byte planes (2 B per
+ * element resident, never the 8 B mag plane).
+ */
 Tensor
-countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
-               IndexMatmulStats *stats, bool tiled_parallel,
-               Lane lane = {})
+engineMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
+             IndexEngine engine, IndexMatmulStats *stats,
+             bool tiled_parallel, Lane lane = {})
 {
     MOKEY_ASSERT(a.cols() == wt.cols(),
                  "index matmul reduction mismatch: %zu vs %zu",
                  a.cols(), wt.cols());
     const size_t m = a.rows(), n = wt.rows(), k = a.cols();
-    const GemmConstants cc =
+    const GemmConstants ctx =
         cachedGemmConstants(a.dictionary(), wt.dictionary(), k);
-    const GemmConstants &ctx = cc;
 
-    // Byte planes only: 2 B per element resident, never the 8 B mag
-    // plane. Owning pointers guard against concurrent upgrades.
-    const auto pa_sp = a.planesShared(PlaneSet::Bytes);
-    const auto pw_sp = wt.planesShared(PlaneSet::Bytes);
+    // Materialize both plane views on this thread before fanning
+    // out; hold the owning pointers so a concurrent plane-set
+    // upgrade on a shared tensor cannot free them mid-GEMM.
+    const bool mag = engine == IndexEngine::Mag;
+    const PlaneSet need = mag ? PlaneSet::Mag : PlaneSet::Bytes;
+    const auto pa_sp = a.planesShared(need);
+    const auto pw_sp = wt.planesShared(need);
     const CodePlanes &pa = *pa_sp;
     const CodePlanes &pw = *pw_sp;
 
-    // Pairing-independent row/column terms from the per-row signed
-    // index histogram: sum theta (a^i + b) = sum_i h[i] * mags[i].
-    // Per-call folds for the same reason as the mag engine: the
-    // replica in tests/reference/ runs this path; the fused walk
-    // reads byteRowSum instead.
+    // Pairing-independent sums folded straight into per-row/-column
+    // scalar terms of the reconstruction. The seed's SoA2 + b*PoM2
+    // is exactly the mag-plane row sum,
+    //   sum th (a^i) + b sum th  =  sum th (a^i + b),
+    // and, over the byte planes, the per-row signed index histogram
+    // collapse sum_i h[i] * mags[i].
+    // Folded per call on purpose: this unfused entry point is what the
+    // frozen layer-at-a-time replica in tests/reference/ runs, and the
+    // fused graph walk (which reads the planes' precomputed
+    // magRowSum / byteRowSum) is tested and benchmarked against it;
+    // the shared helpers guarantee the arithmetic order matches bit
+    // for bit.
     std::vector<double> row_term(m), col_term(n);
-    const auto fold = [&cc, k](const CodePlanes &p, size_t r) {
-        return bytePlaneRowSum(p.indexRow(r), p.thetaRow(r), k,
-                               cc.mags.data());
+    const auto fold = [&ctx, mag, k](const CodePlanes &p, size_t r) {
+        return mag ? magPlaneRowSum(p.magRow(r), k)
+                   : bytePlaneRowSum(p.indexRow(r), p.thetaRow(r), k,
+                                     ctx.mags.data());
     };
+    // The scalar path must honour its contract of never touching the
+    // pool, so the fold loops are serial there too; per-element
+    // results are identical either way.
     const auto foldRows = [&](size_t i) {
         row_term[i] = ctx.sA * ctx.mW * fold(pa, i);
     };
@@ -646,39 +645,8 @@ countingMatmul(const QuantizedTensor &a, const QuantizedTensor &wt,
     }
 
     Tensor out(m, n);
-    const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
-        // Same weight-row tiling as the mag engine; a kTileN-row
-        // byte-plane block is 2*kTileN*k bytes — 4x more rows stay
-        // cache-resident than with mag planes.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                const uint8_t *ia = pa.indexRow(i);
-                const int8_t *ta = pa.thetaRow(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                float *orow = out.row(i);
-                for (size_t j = jb; j < jhi; ++j) {
-                    orow[j] = static_cast<float>(countingDot(
-                        cc, ia, ta, oa, na, pw.indexRow(j),
-                        pw.thetaRow(j), pw.outlierRow(j),
-                        pw.outlierCount(j), row_term[i],
-                        col_term[j], ot_pairs));
-                }
-            }
-        }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
-        }
-    };
-
-    if (tiled_parallel)
-        parallelForRange(lane, 0, m, 1, band);
-    else
-        band(0, m);
+    walkTiles(ctx, engine, pa, pw, row_term.data(), col_term.data(),
+              out.data(), stats, tiled_parallel, lane);
     return out;
 }
 
@@ -688,9 +656,8 @@ Tensor
 indexMatmulTransB(const QuantizedTensor &a, const QuantizedTensor &wt,
                   IndexMatmulStats *stats, Lane lane)
 {
-    if (resolveIndexEngine(a, wt) == IndexEngine::Count)
-        return countingMatmul(a, wt, stats, true, lane);
-    return engineMatmul(a, wt, stats, true, lane);
+    return engineMatmul(a, wt, resolveIndexEngine(a, wt), stats, true,
+                        lane);
 }
 
 Tensor
@@ -698,9 +665,7 @@ indexMatmulTransBScalar(const QuantizedTensor &a,
                         const QuantizedTensor &wt,
                         IndexMatmulStats *stats)
 {
-    if (resolveIndexEngine(a, wt) == IndexEngine::Count)
-        return countingMatmul(a, wt, stats, false);
-    return engineMatmul(a, wt, stats, false);
+    return engineMatmul(a, wt, resolveIndexEngine(a, wt), stats, false);
 }
 
 Tensor
@@ -708,7 +673,7 @@ indexMatmulTransBMag(const QuantizedTensor &a,
                      const QuantizedTensor &wt,
                      IndexMatmulStats *stats, Lane lane)
 {
-    return engineMatmul(a, wt, stats, true, lane);
+    return engineMatmul(a, wt, IndexEngine::Mag, stats, true, lane);
 }
 
 Tensor
@@ -716,7 +681,7 @@ indexMatmulTransBCounting(const QuantizedTensor &a,
                           const QuantizedTensor &wt,
                           IndexMatmulStats *stats, Lane lane)
 {
-    return countingMatmul(a, wt, stats, true, lane);
+    return engineMatmul(a, wt, IndexEngine::Count, stats, true, lane);
 }
 
 Tensor
@@ -724,7 +689,7 @@ indexMatmulTransBCountingScalar(const QuantizedTensor &a,
                                 const QuantizedTensor &wt,
                                 IndexMatmulStats *stats)
 {
-    return countingMatmul(a, wt, stats, false);
+    return engineMatmul(a, wt, IndexEngine::Count, stats, false);
 }
 
 std::vector<Tensor>
@@ -806,10 +771,6 @@ indexMatmulTransBFused(const QuantizedTensor &a,
     for (size_t j = 0; j < n; ++j)
         col_term[j] = ctx.sW * ctx.mA * w_sum[j];
 
-    FusedGemmOut out;
-    if (keepDense)
-        out.dense = Tensor(m, n);
-
     const bool obytes =
         outDict && planeSetCovers(outSets, PlaneSet::Bytes);
     const bool omag =
@@ -837,52 +798,22 @@ indexMatmulTransBFused(const QuantizedTensor &a,
         row_ot.resize(m);
     }
 
-    const auto band = [&](size_t lo, size_t hi) {
-        uint64_t ot_pairs = 0;
-        // Without a dense output the band's rows live in a transient
-        // band-local buffer: encoded planes leave the band, the
-        // floats never leave this thread.
-        std::vector<float> buf;
-        if (!keepDense)
-            buf.resize((hi - lo) * n);
-        const auto rowAt = [&](size_t i) {
-            return keepDense ? out.dense.row(i)
-                             : buf.data() + (i - lo) * n;
-        };
-        // Identical tiled engine loops (and identical noinline dot
-        // kernels) to indexMatmulTransB() — only the source of the
-        // row/column terms differs, and those are bit-equal.
-        for (size_t jb = 0; jb < n; jb += kTileN) {
-            const size_t jhi = std::min(jb + kTileN, n);
-            for (size_t i = lo; i < hi; ++i) {
-                float *orow = rowAt(i);
-                const CodePlanes::Outlier *oa = pa.outlierRow(i);
-                const size_t na = pa.outlierCount(i);
-                if (mag_eng) {
-                    const double *ma = pa.magRow(i);
-                    for (size_t j = jb; j < jhi; ++j) {
-                        orow[j] = static_cast<float>(engineDot(
-                            ctx, ma, oa, na, pw.magRow(j),
-                            pw.outlierRow(j), pw.outlierCount(j),
-                            row_term[i], col_term[j], ot_pairs));
-                    }
-                } else {
-                    const uint8_t *ia = pa.indexRow(i);
-                    const int8_t *ta = pa.thetaRow(i);
-                    for (size_t j = jb; j < jhi; ++j) {
-                        orow[j] = static_cast<float>(countingDot(
-                            ctx, ia, ta, oa, na, pw.indexRow(j),
-                            pw.thetaRow(j), pw.outlierRow(j),
-                            pw.outlierCount(j), row_term[i],
-                            col_term[j], ot_pairs));
-                    }
-                }
-            }
-        }
-        // Epilogue + re-quantization while the rows are band-warm:
-        // the plane-to-plane handoff of the fused graph.
+    // Without keepDense the float output is transient scratch:
+    // encoded planes leave this call, the floats do not.
+    Tensor dense(m, n);
+    // Identical tile walk (and identical noinline dot kernels) to
+    // indexMatmulTransB() — only the source of the row/column terms
+    // differs, and those are bit-equal.
+    walkTiles(ctx, engine, pa, pw, row_term.data(), col_term.data(),
+              dense.data(), stats, true, lane);
+
+    // Epilogue + re-quantization, one pass over the finished rows:
+    // the plane-to-plane handoff of the fused graph. A row's tiles
+    // may have run on several threads; this pass starts after all
+    // of them.
+    parallelForRange(lane, 0, m, grainFor(n), [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-            float *vals = rowAt(i);
+            float *vals = dense.row(i);
             if (epilogue)
                 epilogue(i, vals, n);
             if (outDict) {
@@ -900,14 +831,11 @@ indexMatmulTransBFused(const QuantizedTensor &a,
                         bytePlaneRowSum(ix, th, n, lad.foldMags);
             }
         }
-        if (stats) {
-            const uint64_t pairs =
-                static_cast<uint64_t>(hi - lo) * n * k;
-            stats->add(pairs - ot_pairs, ot_pairs);
-        }
-    };
-    parallelForRange(lane, 0, m, 1, band);
+    });
 
+    FusedGemmOut out;
+    if (keepDense)
+        out.dense = std::move(dense);
     if (outDict) {
         // Row-order sidecar stitch, identical to encodeToPlanes().
         op->rowStart.assign(m + 1, 0);

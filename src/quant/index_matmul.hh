@@ -124,8 +124,9 @@ struct VectorConstants
  * shared stats object concurrently — the batched serving path runs
  * attention heads of independent requests on the pool, all feeding
  * the pipeline's single accumulator. Kernels accumulate privately
- * and publish once per band via add()/merge(), so the atomics stay
- * off the per-pair hot path.
+ * and publish once per tile-grid rectangle via add()/merge(), so the
+ * atomics stay off the per-pair hot path; the totals are integer
+ * sums, independent of chunk order.
  */
 struct IndexMatmulStats
 {
@@ -152,7 +153,7 @@ struct IndexMatmulStats
         return *this;
     }
 
-    /** Thread-safe accumulation of a privately counted band. */
+    /** Thread-safe accumulation of a privately counted chunk. */
     void add(uint64_t gaussian, uint64_t outlier);
 
     /** Fraction of multiply pairs routed to the OPP. */
@@ -206,12 +207,15 @@ double indexDot(const QCode *a, const TensorDictionary &dict_a,
  *    planes and SIMD-accumulates per-pair signed histograms — the
  *    paper's counting dataflow, 4x fewer streamed bytes/element.
  *
- * Both merge-iterate the per-row outlier sidecars (OPP), tile the
- * output for cache reuse, and split row bands across the executor
- * on @p lane. Per-output-element arithmetic order is fixed within
- * an engine, so results are bit-identical for every thread count
- * and lane assignment, and identical to indexMatmulTransBScalar()
- * under the same engine selection.
+ * Both merge-iterate the per-row outlier sidecars (OPP) and share
+ * one tile walker: the output is a parallelForTiles() grid of (row
+ * band x 32-wide weight tile) cells fanned out on @p lane, so a
+ * one-row decode GEMM spreads its weight tiles over the pool and
+ * each tile is reused by every row of its band. Every output element
+ * is one call of the engine's noinline dot, whatever the partition,
+ * so results are bit-identical for every thread count and lane
+ * assignment, and identical to indexMatmulTransBScalar() under the
+ * same engine selection.
  */
 Tensor indexMatmulTransB(const QuantizedTensor &a,
                          const QuantizedTensor &wt,
@@ -294,8 +298,9 @@ Tensor decodedMatmulTransB(const QuantizedTensor &a,
 /**
  * Per-row epilogue of a fused GEMM: transform row @p i's @p n output
  * values in place (bias, activation, residual, normalization, ...).
- * Called once per output row, from pool threads; rows are disjoint,
- * so captured state must be read-only or row-indexed.
+ * Called once per output row, after every tile of the row is
+ * computed, from pool threads; rows are disjoint, so captured state
+ * must be read-only or row-indexed.
  */
 using FusedRowEpilogue =
     std::function<void(size_t i, float *vals, size_t n)>;
@@ -312,16 +317,16 @@ struct FusedGemmOut
 /**
  * Plane-to-plane fused GEMM: the engine kernel of
  * indexMatmulTransB(), with the epilogue and the next layer's
- * activation quantization chained into the same row-band walk.
+ * activation quantization chained onto it.
  *
- * Per band: run the exact tiled engine loops (identical noinline
- * engineDot/countingDot calls, reading the planes' precomputed
- * per-row fold sums instead of re-folding the SoA2 + b*PoM2 terms
- * per call), then, while the band's rows are still cache-warm, apply
- * @p epilogue and encode each row straight into the output planes
- * with the same comparator-ladder walk Quantizer::encodeToPlanes()
- * runs (shared LadderSpec::encodeRow) — no intermediate float tensor
- * unless @p keepDense asks for one.
+ * First the same tile walk as indexMatmulTransB() (identical
+ * noinline engineDot/countingDot calls, reading the planes'
+ * precomputed per-row fold sums instead of re-folding the
+ * SoA2 + b*PoM2 terms per call) fills one m x n float buffer; then a
+ * row pass applies @p epilogue and encodes each finished row straight
+ * into the output planes with the same comparator-ladder walk
+ * Quantizer::encodeToPlanes() runs (shared LadderSpec::encodeRow).
+ * The buffer is handed out only if @p keepDense asks for it.
  *
  * Every output value, encoded plane byte, and outlier entry is
  * bit-identical to the unfused sequence

@@ -14,14 +14,12 @@ namespace
 {
 
 /**
- * Row grain that keeps tiny GEMMs on the calling thread: only fan
- * out when a chunk carries at least ~32k multiply-adds.
+ * Column-tile width of matmulTransB's grid. Even, so every dotFD2
+ * pair starts at an even j and which function computes an output
+ * depends only on (j, n), never on threading: results stay
+ * bit-identical across thread counts.
  */
-size_t
-rowGrain(size_t flops_per_row)
-{
-    return std::max<size_t>(1, (size_t{1} << 15) / (flops_per_row + 1));
-}
+constexpr size_t kTileN = 32;
 
 } // anonymous namespace
 
@@ -33,7 +31,7 @@ matmul(const Tensor &a, const Tensor &b, Lane lane)
                  b.cols());
     Tensor c(a.rows(), b.cols());
     const size_t m = a.rows(), k = a.cols(), n = b.cols();
-    parallelFor(lane, 0, m, rowGrain(n * k), [&](size_t i) {
+    parallelFor(lane, 0, m, grainFor(n * k), [&](size_t i) {
         float *crow = c.row(i);
         const float *arow = a.row(i);
         for (size_t p = 0; p < k; ++p) {
@@ -53,21 +51,23 @@ matmulTransB(const Tensor &a, const Tensor &b, Lane lane)
     Tensor c(a.rows(), b.rows());
     const size_t m = a.rows(), k = a.cols(), n = b.rows();
     // Column pairs share the A-row stream (one load/convert feeds
-    // two accumulations); which function handles an output depends
-    // only on (j, n), never on threading, so results stay
-    // bit-identical across thread counts.
-    parallelFor(lane, 0, m, rowGrain(n * k), [&](size_t i) {
-        const float *arow = a.row(i);
-        float *crow = c.row(i);
-        size_t j = 0;
-        for (; j + 2 <= n; j += 2) {
-            double r0, r1;
-            dotFD2(arow, b.row(j), b.row(j + 1), k, &r0, &r1);
-            crow[j] = static_cast<float>(r0);
-            crow[j + 1] = static_cast<float>(r1);
+    // two accumulations); only the last column of an odd n is
+    // unpaired.
+    parallelForTiles(lane, m, n, kTileN, k,
+                     [&](size_t i0, size_t i1, size_t j0, size_t j1) {
+        for (size_t i = i0; i < i1; ++i) {
+            const float *arow = a.row(i);
+            float *crow = c.row(i);
+            size_t j = j0;
+            for (; j + 2 <= j1; j += 2) {
+                double r0, r1;
+                dotFD2(arow, b.row(j), b.row(j + 1), k, &r0, &r1);
+                crow[j] = static_cast<float>(r0);
+                crow[j + 1] = static_cast<float>(r1);
+            }
+            if (j < j1)
+                crow[j] = static_cast<float>(dotFD(arow, b.row(j), k));
         }
-        if (j < n)
-            crow[j] = static_cast<float>(dotFD(arow, b.row(j), k));
     });
     return c;
 }

@@ -60,6 +60,14 @@ tinyConfig()
     return ModelConfig{"tiny", 2, 32, 2, 128, 256};
 }
 
+/** Wide enough that a one-row GEMM splits its weight tiles over the
+ *  pool at every site (tinyConfig's never leave the caller). */
+ModelConfig
+decodeConfig()
+{
+    return ModelConfig{"decode", 2, 256, 4, 1024, 256};
+}
+
 void
 expectBitIdentical(const Tensor &a, const Tensor &b,
                    const std::string &what)
@@ -73,8 +81,8 @@ expectBitIdentical(const Tensor &a, const Tensor &b,
 class GraphFusionFixture : public ::testing::Test
 {
   protected:
-    GraphFusionFixture()
-        : model(tinyConfig(), 29),
+    explicit GraphFusionFixture(const ModelConfig &cfg = tinyConfig())
+        : model(cfg, 29),
           exp(1.179, -0.977, 8),
           quantizer(exp),
           pipeline(model, quantizer)
@@ -103,6 +111,12 @@ class GraphFusionFixture : public ::testing::Test
     const reference::LayerAtATime replica{model, quantizer, pipeline};
 };
 
+class DecodeFusionFixture : public GraphFusionFixture
+{
+  protected:
+    DecodeFusionFixture() : GraphFusionFixture(decodeConfig()) {}
+};
+
 std::string
 sweepLabel(IndexEngine engine, size_t threads, Lane lane)
 {
@@ -114,8 +128,8 @@ sweepLabel(IndexEngine engine, size_t threads, Lane lane)
 TEST_F(GraphFusionFixture, FusedForwardBitIdenticalToLayerAtATime)
 {
     // The heart of the fusion contract: chaining each GEMM's
-    // epilogue and the next GEMM's re-quantization into the band
-    // walk, reading precomputed fold sums, and hoisting the site
+    // epilogue and the next GEMM's re-quantization onto the GEMM,
+    // reading precomputed fold sums, and hoisting the site
     // constants must all be invisible in the output bits.
     const Tensor in = model.makeInput(11, 471);
     const EngineGuard engine_guard;
@@ -209,6 +223,81 @@ TEST_F(GraphFusionFixture, FusedForwardStepChainBitIdentical)
                     expectBitIdentical(refs[l], y,
                                        sweepLabel(engine, t, lane) +
                                            " layer=" + std::to_string(l));
+                }
+            }
+        }
+    }
+}
+
+TEST_F(DecodeFusionFixture, DecodeShapesBitIdenticalToLayerAtATime)
+{
+    // Decode traffic: one row, or a stack of 2-3 one-row requests,
+    // against weights wide enough that every site's GEMM splits one
+    // output row over the pool. forward, forwardBatch and chained
+    // forwardStep must still match the replica bit for bit.
+    const EngineGuard engine_guard;
+    const ThreadCountGuard thread_guard;
+    const size_t hw = std::max<size_t>(
+        1, std::thread::hardware_concurrency());
+    std::vector<Tensor> rows;
+    for (size_t i = 0; i < 3; ++i)
+        rows.push_back(model.makeInput(1, 900 + i));
+
+    for (const IndexEngine engine :
+         {IndexEngine::Mag, IndexEngine::Count, IndexEngine::Auto}) {
+        setIndexEngine(engine);
+        setThreadCount(1);
+        const Tensor ref = replica.forward(rows[0]);
+        std::vector<std::vector<Tensor>> ref_steps;
+        for (const size_t stack : {2, 3}) {
+            std::vector<const Tensor *> parts;
+            std::vector<size_t> starts{0};
+            for (size_t i = 0; i < stack; ++i) {
+                parts.push_back(&rows[i]);
+                starts.push_back(i + 1);
+            }
+            Tensor x = concatRows(parts);
+            std::vector<Tensor> steps;
+            for (size_t l = 0; l < pipeline.stepCount(); ++l)
+                steps.push_back(x = replica.layer(l, x, starts));
+            ref_steps.push_back(std::move(steps));
+        }
+        const auto ref_batch = replica.forwardBatch(rows);
+
+        for (const size_t t : {size_t{1}, size_t{2}, hw}) {
+            setThreadCount(t);
+            for (const Lane lane : {Lane{}, Lane::acquire()}) {
+                const std::string what = sweepLabel(engine, t, lane);
+                expectBitIdentical(
+                    ref,
+                    pipeline.forward(rows[0],
+                                     QuantMode::WeightsAndActivations,
+                                     lane),
+                    what + " seq=1");
+                const auto outs = pipeline.forwardBatch(
+                    rows, QuantMode::WeightsAndActivations, lane);
+                ASSERT_EQ(outs.size(), ref_batch.size());
+                for (size_t i = 0; i < outs.size(); ++i)
+                    expectBitIdentical(ref_batch[i], outs[i],
+                                       what + " req=" +
+                                           std::to_string(i));
+                for (const size_t stack : {2, 3}) {
+                    std::vector<const Tensor *> parts;
+                    std::vector<size_t> starts{0};
+                    for (size_t i = 0; i < stack; ++i) {
+                        parts.push_back(&rows[i]);
+                        starts.push_back(i + 1);
+                    }
+                    Tensor y = concatRows(parts);
+                    for (size_t l = 0; l < pipeline.stepCount(); ++l) {
+                        y = pipeline.forwardStep(
+                            l, y, starts,
+                            QuantMode::WeightsAndActivations, lane);
+                        expectBitIdentical(
+                            ref_steps[stack - 2][l], y,
+                            what + " stack=" + std::to_string(stack) +
+                                " layer=" + std::to_string(l));
+                    }
                 }
             }
         }

@@ -10,6 +10,7 @@
  */
 
 #include <cmath>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <gtest/gtest.h>
@@ -193,9 +194,9 @@ TEST_P(EngineParity, TracksSeedReferenceAlgorithm)
 
 TEST_P(EngineParity, FixedEngineBitIdenticalToScalar)
 {
-    // The fixed-point GEMM now fans out over row bands like the
-    // float/index engines; being integer arithmetic, any reordering
-    // bug would show up as an exact mismatch immediately.
+    // The fixed-point GEMM fans out over row bands; being integer
+    // arithmetic, any reordering bug would show up as an exact
+    // mismatch immediately.
     const Shape s = GetParam();
     const auto a = makeOperand(s.m, s.k, s.mean_a, s.std_a,
                                s.tail_frac, 7000 + s.m);
@@ -635,6 +636,164 @@ TEST(EngineDeterminism, StatsInvariantAcrossThreadCounts)
         EXPECT_EQ(stats.outlierPairs, first.outlierPairs);
     }
     setThreadCount(original);
+}
+
+/**
+ * Decode shapes: a few activation rows against K = 768 and N of
+ * several 32-wide weight tiles. The fixtures above never cross the
+ * fan-out grain; these split one output row's tiles over the pool,
+ * so two threads write one row, and N = 3 * 32 + 5 leaves a ragged
+ * last tile.
+ */
+class TileGrid : public ::testing::Test
+{
+  protected:
+    static constexpr size_t kK = 768;
+
+    TileGrid() : exp(1.179, -0.977, 8), quantizer(exp) {}
+
+    QuantizedTensor
+    operand(size_t rows, uint64_t seed) const
+    {
+        Rng rng(seed);
+        Tensor t(rows, kK, rng.gaussianVector(rows * kK, 0.1, 1.0));
+        for (size_t i = 0; i < t.size(); i += 97)
+            t.raw()[i] = (i % 2) ? 7.5f : -8.0f; // force outliers
+        return quantizer.encode(t, quantizer.buildDictionary(t));
+    }
+
+    ExpDictionary exp;
+    Quantizer quantizer;
+};
+
+void
+expectPlanesEqual(const CodePlanes &a, const CodePlanes &b,
+                  const std::string &what)
+{
+    ASSERT_EQ(a.index, b.index) << what;
+    ASSERT_EQ(a.theta, b.theta) << what;
+    ASSERT_EQ(a.mag, b.mag) << what;
+    ASSERT_EQ(a.magRowSum, b.magRowSum) << what;
+    ASSERT_EQ(a.byteRowSum, b.byteRowSum) << what;
+    ASSERT_EQ(a.rowStart, b.rowStart) << what;
+    ASSERT_EQ(a.outliers.size(), b.outliers.size()) << what;
+    for (size_t i = 0; i < a.outliers.size(); ++i) {
+        ASSERT_EQ(a.outliers[i].col, b.outliers[i].col) << what;
+        ASSERT_EQ(a.outliers[i].index, b.outliers[i].index) << what;
+        ASSERT_EQ(a.outliers[i].value, b.outliers[i].value) << what;
+    }
+}
+
+TEST_F(TileGrid, DecodeGemmsBitIdenticalToScalar)
+{
+    // The unfused and fused GEMMs over the tile grid against the
+    // serial scalar pin (+ epilogue + encodeToPlanes for the fused
+    // one), per engine x keepDense x outDict x threads x lane: every
+    // float, plane byte, fold sum, sidecar entry and pair count.
+    const EngineGuard engine_guard;
+    const ThreadCountGuard thread_guard;
+    const size_t hw = std::max<size_t>(
+        1, std::thread::hardware_concurrency());
+    const FusedRowEpilogue epi = [](size_t i, float *vals, size_t n) {
+        for (size_t c = 0; c < n; ++c)
+            vals[c] = vals[c] * 0.25f + static_cast<float>(i % 3);
+    };
+
+    for (const size_t n : {size_t{3 * 32 + 5}, size_t{4 * 32}}) {
+        const auto wt = operand(n, 900 + n);
+        for (const size_t m : {1, 2, 3, 5}) {
+            const auto a = operand(m, 500 + m);
+            for (const IndexEngine engine :
+                 {IndexEngine::Mag, IndexEngine::Count}) {
+                setIndexEngine(engine);
+                IndexMatmulStats ref_stats;
+                const Tensor ref =
+                    indexMatmulTransBScalar(a, wt, &ref_stats);
+                Tensor ref_epi = ref;
+                for (size_t i = 0; i < m; ++i)
+                    epi(i, ref_epi.row(i), n);
+                const auto out_dict = quantizer.buildDictionary(ref_epi);
+                const QuantizedTensor ref_q = quantizer.encodeToPlanes(
+                    ref_epi, out_dict, PlaneSet::All);
+                const CodePlanes &ref_planes = ref_q.planes();
+
+                for (const size_t t : {size_t{1}, size_t{2}, size_t{3},
+                                       hw}) {
+                    setThreadCount(t);
+                    for (const Lane lane : {Lane{}, Lane::acquire()}) {
+                        const std::string what =
+                            std::string("engine=") +
+                            indexEngineName(engine) +
+                            " m=" + std::to_string(m) +
+                            " n=" + std::to_string(n) +
+                            " threads=" + std::to_string(t) +
+                            " lane=" + std::to_string(lane.id());
+                        IndexMatmulStats stats;
+                        ASSERT_EQ(indexMatmulTransB(a, wt, &stats, lane)
+                                      .raw(),
+                                  ref.raw())
+                            << what;
+                        EXPECT_EQ(stats.gaussianPairs,
+                                  ref_stats.gaussianPairs) << what;
+                        EXPECT_EQ(stats.outlierPairs,
+                                  ref_stats.outlierPairs) << what;
+
+                        for (const bool dense : {true, false}) {
+                            for (const bool encode : {true, false}) {
+                                if (!dense && !encode)
+                                    continue;
+                                const std::string w = what +
+                                    " dense=" + std::to_string(dense) +
+                                    " encode=" + std::to_string(encode);
+                                IndexMatmulStats fs;
+                                const FusedGemmOut out =
+                                    indexMatmulTransBFused(
+                                        a, wt, engine, epi,
+                                        encode ? &out_dict : nullptr,
+                                        PlaneSet::All, dense, nullptr,
+                                        &fs, lane);
+                                EXPECT_EQ(fs.gaussianPairs,
+                                          ref_stats.gaussianPairs) << w;
+                                EXPECT_EQ(fs.outlierPairs,
+                                          ref_stats.outlierPairs) << w;
+                                if (dense)
+                                    ASSERT_EQ(out.dense.raw(),
+                                              ref_epi.raw()) << w;
+                                else
+                                    EXPECT_EQ(out.dense.size(), 0u) << w;
+                                if (encode)
+                                    expectPlanesEqual(
+                                        out.planes.planes(), ref_planes,
+                                        w);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(TileGrid, OneRowGemmSplitsOverThePool)
+{
+    // A one-row range never exceeds its grain, so a partition over
+    // activation rows alone would run this GEMM inline; the tile grid
+    // must hand its weight tiles to the pool as several chunks.
+    const ThreadCountGuard thread_guard;
+    const auto a = operand(1, 501);
+    const auto wt = operand(3 * 32 + 5, 905);
+    const size_t hw = std::max<size_t>(
+        2, std::thread::hardware_concurrency());
+    for (const size_t t : {size_t{2}, hw}) {
+        setThreadCount(t);
+        const Lane lane = Lane::acquire();
+        const uint64_t before = laneStats(lane).chunks;
+        indexMatmulTransBFused(a, wt, IndexEngine::Mag, nullptr, nullptr,
+                               PlaneSet::Mag, true, nullptr, nullptr,
+                               lane);
+        EXPECT_GT(laneStats(lane).chunks - before, 1u)
+            << "threads=" << t;
+    }
 }
 
 TEST(CodePlanesView, MatchesCodes)

@@ -4,11 +4,16 @@
  */
 
 #include <cmath>
+#include <string>
+#include <thread>
 #include <gtest/gtest.h>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
+#include "test_util.hh"
 
 namespace mokey
 {
@@ -78,6 +83,68 @@ TEST(Ops, MatmulTransBAgreesWithMatmul)
     const Tensor c1 = matmul(a, b);
     const Tensor c2 = matmulTransB(a, b.transposed());
     EXPECT_LT(maxAbsDiff(c1, c2), 1e-4);
+}
+
+TEST(Ops, MatmulTransBTileGridBitIdentical)
+{
+    // Decode shapes (a few rows, K = 768, odd N) split one output
+    // row's column tiles over the pool. Every output must keep its
+    // function: dotFD2 for the pair starting at each even j, dotFD for
+    // the last column of an odd N — at every thread count and lane.
+    const ThreadCountGuard thread_guard;
+    const size_t k = 768;
+    const size_t hw = std::max<size_t>(
+        1, std::thread::hardware_concurrency());
+    Rng rng(73);
+    for (const size_t n : {size_t{3 * 32 + 5}, size_t{4 * 32 + 7}}) {
+        const Tensor b(n, k, rng.gaussianVector(n * k, 0, 1));
+        for (const size_t m : {1, 2, 3, 5}) {
+            const Tensor a(m, k, rng.gaussianVector(m * k, 0, 1));
+            Tensor want(m, n);
+            for (size_t i = 0; i < m; ++i) {
+                size_t j = 0;
+                for (; j + 2 <= n; j += 2) {
+                    double r0, r1;
+                    dotFD2(a.row(i), b.row(j), b.row(j + 1), k, &r0,
+                           &r1);
+                    want.at(i, j) = static_cast<float>(r0);
+                    want.at(i, j + 1) = static_cast<float>(r1);
+                }
+                want.at(i, j) =
+                    static_cast<float>(dotFD(a.row(i), b.row(j), k));
+            }
+            for (const size_t t : {size_t{1}, size_t{2}, size_t{3},
+                                   hw}) {
+                setThreadCount(t);
+                for (const Lane lane : {Lane{}, Lane::acquire()})
+                    ASSERT_EQ(matmulTransB(a, b, lane).raw(), want.raw())
+                        << "m=" << m << " n=" << n << " threads=" << t
+                        << " lane=" << lane.id();
+            }
+        }
+    }
+}
+
+TEST(Ops, MatmulTransBOneRowSplitsOverThePool)
+{
+    // A one-row range never exceeds its grain, so a partition over
+    // rows alone would run a decode GEMM inline; the tile grid must
+    // hand its column tiles to the pool as several chunks.
+    const ThreadCountGuard thread_guard;
+    const size_t k = 768, n = 3 * 32 + 5;
+    Rng rng(79);
+    const Tensor a(1, k, rng.gaussianVector(k, 0, 1));
+    const Tensor b(n, k, rng.gaussianVector(n * k, 0, 1));
+    const size_t hw = std::max<size_t>(
+        2, std::thread::hardware_concurrency());
+    for (const size_t t : {size_t{2}, hw}) {
+        setThreadCount(t);
+        const Lane lane = Lane::acquire();
+        const uint64_t before = laneStats(lane).chunks;
+        matmulTransB(a, b, lane);
+        EXPECT_GT(laneStats(lane).chunks - before, 1u)
+            << "threads=" << t;
+    }
 }
 
 TEST(Ops, AddBias)
